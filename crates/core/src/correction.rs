@@ -16,6 +16,7 @@
 //! parallel corrections are deterministic.
 
 use crate::query::{QueryTree, QueryTreeConfig};
+use crate::report::{Phase, RunRecorder};
 use crate::shared::SharedLists;
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
@@ -141,8 +142,10 @@ pub(crate) fn correct_unbounded<const D: usize>(
 /// stale read over-admits), which keeps the lists byte-identical while
 /// skipping the f64 gather for them.
 ///
-/// Returns the work–depth cost of the build plus the query sweep, and the
-/// accumulated precision-tier filter counters.
+/// The build is timed under [`Phase::PuntBuild`] in `obs`. Returns the
+/// work–depth cost of the build plus the query sweep (its
+/// `separator_candidates` are the build's candidates), and the accumulated
+/// precision-tier filter counters.
 pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     soa: &SoaPoints<D>,
     lists: &SharedLists,
@@ -150,12 +153,15 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     crossing: &[CrossingBall<D>],
     qcfg: QueryTreeConfig,
     seed: u64,
+    obs: &RunRecorder,
 ) -> (CostProfile, FilterStats) {
     if crossing.is_empty() || subset.is_empty() {
         return (CostProfile::zero(), FilterStats::default());
     }
     let balls: Vec<Ball<D>> = crossing.iter().map(|c| c.ball).collect();
-    let tree = QueryTree::build::<E>(&balls, qcfg, seed);
+    let tree = obs.time(Phase::PuntBuild, || {
+        QueryTree::build::<E>(&balls, qcfg, seed)
+    });
     let height = tree.stats().height as u64;
     let mixed = qcfg.precision.is_mixed();
 
@@ -332,6 +338,7 @@ mod tests {
             &crossing,
             QueryTreeConfig::default(),
             7,
+            &RunRecorder::disabled(),
         );
         let result = lists.into_result();
         let oracle = crate::brute::brute_force_knn(&points, 2);
@@ -356,7 +363,15 @@ mod tests {
                 precision,
                 ..QueryTreeConfig::default()
             };
-            let (_, stats) = correct_via_query::<1, 2>(&soa, &lists, &subset, &crossing, qcfg, 7);
+            let (_, stats) = correct_via_query::<1, 2>(
+                &soa,
+                &lists,
+                &subset,
+                &crossing,
+                qcfg,
+                7,
+                &RunRecorder::disabled(),
+            );
             stats_by_tier.push(stats);
             results.push(lists.into_result());
         }
@@ -407,6 +422,7 @@ mod tests {
             &[],
             QueryTreeConfig::default(),
             1,
+            &RunRecorder::disabled(),
         );
         assert_eq!(cost, CostProfile::zero());
         assert_eq!(stats, FilterStats::default());

@@ -562,7 +562,7 @@ fn build_rec<const D: usize, const E: usize>(
         ids.iter().map(|&i| ctx.balls[i as usize].center).collect()
     };
     // Split decision through the configured backend; for the default
-    // `RandomSphere` this is the speculative candidate sweep (lowest
+    // `RandomSphere` this is the seeded candidate search (first
     // acceptable index wins), timed as a sub-interval of the split —
     // identical output for any pool size.
     let sp = splitter_for::<D, E>(ctx.cfg.splitter);

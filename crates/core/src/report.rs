@@ -14,8 +14,9 @@
 //!
 //! * [`RunRecorder`] — the lightweight instrument threaded through the
 //!   recursions. Wall-clock **phase timers** (split / leaf-solve /
-//!   collect-crossing / fast-correction / punt-correction / serve, summed
-//!   across rayon workers) and **per-depth histograms** (node counts, crossing
+//!   collect-crossing / fast-correction / punt-correction / serve, plus
+//!   the sub-intervals separator-search in split and punt-build in
+//!   punt-correction, summed across rayon workers) and **per-depth histograms** (node counts, crossing
 //!   balls, separator candidate attempts, punt events, fast corrections,
 //!   leaves, keyed by recursion depth). All counters are relaxed atomics;
 //!   when disabled ([`KnnDcConfig::record`](crate::KnnDcConfig::record)
@@ -58,14 +59,18 @@ pub enum Phase {
     /// [`serve`](crate::serve) read-path engine (one timed interval per
     /// probe chunk, summed across rayon workers).
     Serve = 5,
-    /// Separator candidate search alone (the best-of-N sweep). A
+    /// Separator candidate search alone (the seeded candidate scan). A
     /// **sub-interval of [`Phase::Split`]**: split still times gather +
     /// search + partition, so `separator-search ≤ split` and the two must
     /// not be summed together. Additive to schema v1.
     SeparatorSearch = 6,
+    /// Query-tree builds of the punt path (their separator search
+    /// included). A **sub-interval of [`Phase::PuntCorrection`]**, nested
+    /// the way `separator-search` nests in `split`. Additive to schema v1.
+    PuntBuild = 7,
 }
 
-const PHASE_COUNT: usize = 7;
+const PHASE_COUNT: usize = 8;
 const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "split",
     "leaf-solve",
@@ -74,7 +79,18 @@ const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "punt-correction",
     "serve",
     "separator-search",
+    "punt-build",
 ];
+
+/// The phase a sub-interval phase is timed inside, by wire name: its time
+/// is part of the parent's and must not be added to it.
+fn phase_parent(name: &str) -> Option<&'static str> {
+    match name {
+        "separator-search" => Some("split"),
+        "punt-build" => Some("punt-correction"),
+        _ => None,
+    }
+}
 
 /// Per-depth atomic counters (one cell per recursion depth).
 #[derive(Default)]
@@ -347,6 +363,7 @@ pub fn meter_counters(m: &MeterSnapshot) -> Vec<(String, f64)> {
         ("meter.marching_balls".into(), m.marching_balls as f64),
         ("meter.march_pruned".into(), m.march_pruned as f64),
         ("meter.query_builds".into(), m.query_builds as f64),
+        ("meter.punt_candidates".into(), m.punt_candidates as f64),
         ("meter.distance_evals".into(), m.distance_evals as f64),
         (
             "meter.correction_dist_evals".into(),
@@ -570,13 +587,27 @@ impl RunReport {
             }
         }
         if !self.phases.is_empty() {
-            s.push_str("\nphase timings (summed across workers):\n");
-            s.push_str(&format!("  {:<18} {:>12} {:>10}\n", "phase", "ms", "calls"));
-            for p in &self.phases {
+            s.push_str("\nphase timings (summed across workers; indented phases are inside the one above):\n");
+            s.push_str(&format!("  {:<20} {:>12} {:>10}\n", "phase", "ms", "calls"));
+            for p in self
+                .phases
+                .iter()
+                .filter(|p| phase_parent(&p.name).is_none())
+            {
                 s.push_str(&format!(
-                    "  {:<18} {:>12.3} {:>10}\n",
+                    "  {:<20} {:>12.3} {:>10}\n",
                     p.name, p.ms, p.calls
                 ));
+                for c in self
+                    .phases
+                    .iter()
+                    .filter(|c| phase_parent(&c.name) == Some(p.name.as_str()))
+                {
+                    s.push_str(&format!(
+                        "    {:<18} {:>12.3} {:>10}\n",
+                        c.name, c.ms, c.calls
+                    ));
+                }
             }
         }
         if !self.counters.is_empty() {
@@ -1209,8 +1240,9 @@ mod tests {
         assert_eq!(split.calls, 2);
         assert!(split.ms >= 2.0, "split {} ms", split.ms);
         // Untouched phases stay zero but are present in the snapshot.
-        assert_eq!(phases.len(), 7);
+        assert_eq!(phases.len(), 8);
         assert!(phases.iter().any(|p| p.name == "separator-search"));
+        assert!(phases.iter().any(|p| p.name == "punt-build"));
         assert_eq!(rec.phases().iter().filter(|p| p.calls > 0).count(), 1);
     }
 
@@ -1259,6 +1291,33 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn render_human_nests_sub_phases_under_their_parent() {
+        let mut r = sample_report();
+        for (name, ms) in [
+            ("punt-build", 1.5),
+            ("separator-search", 2.0),
+            ("punt-correction", 4.0),
+        ] {
+            r.phases.push(PhaseSample {
+                name: name.to_string(),
+                ms,
+                calls: 3,
+            });
+        }
+        let text = r.render_human();
+        let line = |name: &str| {
+            text.lines()
+                .position(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} line in:\n{text}"))
+        };
+        assert_eq!(line("separator-search"), line("split") + 1, "{text}");
+        assert_eq!(line("punt-build"), line("punt-correction") + 1, "{text}");
+        assert!(text.contains("    punt-build"), "{text}");
+        assert_eq!(phase_parent("punt-build"), Some("punt-correction"));
+        assert_eq!(phase_parent("split"), None);
     }
 
     #[test]

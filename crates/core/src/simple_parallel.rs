@@ -324,7 +324,7 @@ fn rec<const D: usize, const E: usize>(
     // Section 5 combine step), so its time lands in the same
     // `punt-correction` phase the Section 6 punt path uses.
     let (corr_cost, corr_stats) = ctx.obs.time(Phase::PuntCorrection, || {
-        correct_via_query::<D, E>(ctx.soa, ctx.lists, ids, &crossing, qcfg, qseed)
+        correct_via_query::<D, E>(ctx.soa, ctx.lists, ids, &crossing, qcfg, qseed, ctx.obs)
     });
 
     let local = CostProfile::scan(m as u64); // the split

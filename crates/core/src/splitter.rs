@@ -6,8 +6,8 @@
 //! knob rather than a code path:
 //!
 //! * [`RandomSphere`] — the paper's engine, verbatim: the seeded
-//!   best-of-N sweep over unit-time MTTV sphere candidates with the
-//!   median-cut fallback. The default; pinned byte-identical to the
+//!   search over unit-time MTTV sphere candidates (the first acceptable
+//!   one wins) with the median-cut fallback. The default; pinned byte-identical to the
 //!   pre-trait implementation by the `build_parity` suite.
 //! * [`DeterministicHalving`] — the same random search, but when every
 //!   candidate fails the tol gate (and the median fallback is one-sided)

@@ -1,89 +1,51 @@
-//! Approximate centerpoints by iterated Radon points.
+//! Approximate centerpoints by a Radon-point tree.
 //!
 //! A *centerpoint* of `n` points in `R^D` is a point `q` such that every
 //! closed halfspace containing `q` contains at least `n / (D + 1)` of the
 //! points. The MTTV pipeline needs one for the lifted point set; an
-//! approximation with constant depth `1/(D+2) + ε` is enough for the
-//! separator guarantees, and the classical way to compute one fast is the
-//! iterated-Radon-point scheme of Clarkson, Eppstein, Miller, Sturtivant and
-//! Teng: repeatedly pick `D + 2` points from a working multiset and replace
-//! them with copies of their Radon point. Each replacement can only increase
-//! (stochastically) the Tukey depth of the surviving mass.
+//! approximation of constant depth is enough for the separator guarantees.
+//! The cheap way to build one is the iterated-Radon *tree* of Clarkson,
+//! Eppstein, Miller, Sturtivant and Teng: split a random sample into groups
+//! of `D + 2`, replace every group by its Radon point, and repeat on the
+//! survivors until one point is left. Each level raises the depth of the
+//! survivors, and a tree of constant height does constant work.
 
 use crate::point::Point;
 use crate::radon::radon_point_value;
 use rand::Rng;
 
-/// Options for the iterated-Radon centerpoint computation.
-#[derive(Clone, Copy, Debug)]
-pub struct CenterpointOpts {
-    /// Working multiset size (input is resampled to this size when larger).
-    pub buffer_size: usize,
-    /// Number of Radon replacement rounds, as a multiple of the buffer size.
-    pub rounds_factor: usize,
-}
-
-impl Default for CenterpointOpts {
-    fn default() -> Self {
-        CenterpointOpts {
-            buffer_size: 192,
-            rounds_factor: 6,
-        }
-    }
-}
-
-/// Approximate centerpoint of a non-empty point set.
+/// Radon-tree centerpoint of a non-empty point multiset.
 ///
-/// Deterministic given `rng`. Runs in time independent of `points.len()`
-/// beyond the initial resampling — this is what makes the enclosing
-/// separator algorithm "unit time" in the paper's sense (constant work per
-/// candidate after sampling).
+/// Consecutive groups of `D + 2` points collapse to their Radon point,
+/// level by level; a degenerate group (no Radon point, e.g. all points
+/// identical) collapses to its centroid. Points left over after the last
+/// full group are carried to the next level unchanged, and once fewer than
+/// `D + 2` points remain their centroid is the result. An input of
+/// `(D + 2)^L` points therefore takes `L` levels and
+/// `((D + 2)^L - 1) / (D + 1)` Radon calls.
+///
+/// Uses no randomness: the result is a pure function of `points` (and of
+/// their order), so callers draw the sample and own the seed.
 ///
 /// # Panics
 /// Panics on an empty input.
-pub fn approximate_centerpoint<const D: usize, R: Rng>(
-    points: &[Point<D>],
-    rng: &mut R,
-    opts: CenterpointOpts,
-) -> Point<D> {
+pub fn radon_tree_centerpoint<const D: usize>(points: &[Point<D>]) -> Point<D> {
     assert!(!points.is_empty(), "centerpoint of an empty point set");
-    if points.len() <= D + 2 {
-        return Point::centroid(points);
-    }
-
-    // Working multiset: the input when small, a with-replacement resample
-    // otherwise (sampling preserves approximate depth w.h.p.).
-    let mut buf: Vec<Point<D>> = if points.len() <= opts.buffer_size {
-        points.to_vec()
-    } else {
-        (0..opts.buffer_size)
-            .map(|_| points[rng.gen_range(0..points.len())])
-            .collect()
-    };
-
-    let rounds = opts.rounds_factor * buf.len();
     let group = D + 2;
-    let mut idx: Vec<usize> = (0..buf.len()).collect();
-    let mut chosen = vec![Point::<D>::origin(); group];
-    for _ in 0..rounds {
-        // Partial Fisher–Yates: only the first `group` slots need to be
-        // random (same distribution as a full shuffle restricted to its
-        // prefix, at a fraction of the RNG cost — this loop dominates the
-        // whole separator search).
-        for slot in 0..group {
-            let j = rng.gen_range(slot..idx.len());
-            idx.swap(slot, j);
+    let mut level = points.to_vec();
+    while level.len() >= group {
+        // In place: group `i` starts at `i * group >= i`, so writing its
+        // Radon point to slot `i` never clobbers an unread group.
+        let groups = level.len() / group;
+        for i in 0..groups {
+            let g = &level[i * group..(i + 1) * group];
+            level[i] = radon_point_value(g, 1e-12).unwrap_or_else(|| Point::centroid(g));
         }
-        for (slot, &i) in idx[..group].iter().enumerate() {
-            chosen[slot] = buf[i];
-        }
-        if let Some(r) = radon_point_value(&chosen, 1e-12) {
-            for &i in &idx[..group] {
-                buf[i] = r;
-            }
-        }
+        let carried = groups * group;
+        level.copy_within(carried.., groups);
+        level.truncate(groups + (level.len() - carried));
     }
-    Point::centroid(&buf)
+    Point::centroid(&level)
 }
 
 /// Empirical Tukey-depth lower bound of `q` in `points`: the minimum, over
@@ -155,11 +117,19 @@ mod tests {
         v
     }
 
+    /// A with-replacement sample of `(D + 2)^levels` points, the shape the
+    /// separator feeds the tree.
+    fn sample<const D: usize>(pts: &[Point<D>], levels: u32, seed: u64) -> Vec<Point<D>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..(D + 2).pow(levels))
+            .map(|_| pts[rng.gen_range(0..pts.len())])
+            .collect()
+    }
+
     #[test]
     fn centerpoint_of_tiny_set_is_centroid() {
         let pts = [Point::<2>::from([0.0, 0.0]), Point::from([2.0, 0.0])];
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let c = approximate_centerpoint(&pts, &mut rng, CenterpointOpts::default());
+        let c = radon_tree_centerpoint(&pts);
         assert!(c.dist(&Point::from([1.0, 0.0])) < 1e-12);
     }
 
@@ -167,12 +137,18 @@ mod tests {
     fn centerpoint_of_grid_is_deep() {
         let pts = grid_2d(16); // 256 points
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let c = approximate_centerpoint(&pts, &mut rng, CenterpointOpts::default());
         let dirs = random_directions::<2, _>(64, &mut rng);
-        let depth = directional_depth(&pts, &c, &dirs);
-        // True centerpoints have depth >= 1/3 in R^2; the approximation
-        // should comfortably clear 1/5 on a symmetric grid.
-        assert!(depth > 0.2, "depth too small: {depth}");
+        // The whole grid (256 = 4^4, a four-level tree) and a random
+        // two-level sample of it.
+        for c in [
+            radon_tree_centerpoint(&pts),
+            radon_tree_centerpoint(&sample(&pts, 2, 42)),
+        ] {
+            let depth = directional_depth(&pts, &c, &dirs);
+            // True centerpoints have depth >= 1/3 in R^2; the approximation
+            // should comfortably clear 1/5 on a symmetric grid.
+            assert!(depth > 0.2, "depth too small: {depth} at {c:?}");
+        }
     }
 
     #[test]
@@ -187,11 +163,15 @@ mod tests {
                 ])
             })
             .collect();
-        let c = approximate_centerpoint(&pts, &mut rng, CenterpointOpts::default());
         let dirs = random_directions::<3, _>(64, &mut rng);
-        let depth = directional_depth(&pts, &c, &dirs);
-        assert!(depth > 0.15, "depth too small: {depth}");
-        assert!(c.norm() < 1.0, "far from the mode: {:?}", c);
+        for c in [
+            radon_tree_centerpoint(&pts),
+            radon_tree_centerpoint(&sample(&pts, 2, 8)),
+        ] {
+            let depth = directional_depth(&pts, &c, &dirs);
+            assert!(depth > 0.15, "depth too small: {depth}");
+            assert!(c.norm() < 1.0, "far from the mode: {:?}", c);
+        }
     }
 
     #[test]
@@ -201,12 +181,47 @@ mod tests {
         for i in 0..10 {
             pts.push(Point::from([i as f64 * 100.0, -300.0]));
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let c = approximate_centerpoint(&pts, &mut rng, CenterpointOpts::default());
-        assert!(
-            c.dist(&Point::splat(5.0)) < 60.0,
-            "pulled too far by outliers: {c:?}"
-        );
+        for c in [
+            radon_tree_centerpoint(&pts),
+            radon_tree_centerpoint(&sample(&pts, 2, 3)),
+        ] {
+            assert!(
+                c.dist(&Point::splat(5.0)) < 60.0,
+                "pulled too far by outliers: {c:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn deterministic_without_rng() {
+        let pts = sample(&grid_2d(10), 3, 9);
+        let a = radon_tree_centerpoint(&pts);
+        let b = radon_tree_centerpoint(&pts);
+        assert_eq!(a[0].to_bits(), b[0].to_bits());
+        assert_eq!(a[1].to_bits(), b[1].to_bits());
+    }
+
+    #[test]
+    fn identical_points_return_the_point() {
+        // Every group is degenerate or duplicated; any remainder is carried.
+        let p = Point::<3>::from([0.3, -7.25, 1e6]);
+        for n in [1usize, 4, 5, 25, 27] {
+            let c = radon_tree_centerpoint(&vec![p; n]);
+            assert!(c.is_finite(), "n = {n}: {c:?}");
+            assert!(c.dist(&p) <= 1e-9 * p.norm(), "n = {n}: {c:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_groups_stay_finite() {
+        // Two distinct sites, each repeated: groups mix duplicates of both.
+        let a = Point::<2>::from([1.0, 2.0]);
+        let b = Point::<2>::from([3.0, -1.0]);
+        let pts: Vec<Point<2>> = (0..16).map(|i| if i % 3 == 0 { a } else { b }).collect();
+        let c = radon_tree_centerpoint(&pts);
+        assert!(c.is_finite());
+        // On the segment between the two sites.
+        assert!((c.dist(&a) + c.dist(&b) - a.dist(&b)).abs() < 1e-9, "{c:?}");
     }
 
     #[test]
@@ -225,15 +240,5 @@ mod tests {
         for u in random_directions::<4, _>(32, &mut rng) {
             assert!((u.norm() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let pts = grid_2d(10);
-        let mut a = ChaCha8Rng::seed_from_u64(9);
-        let mut b = ChaCha8Rng::seed_from_u64(9);
-        let ca = approximate_centerpoint(&pts, &mut a, CenterpointOpts::default());
-        let cb = approximate_centerpoint(&pts, &mut b, CenterpointOpts::default());
-        assert_eq!(ca, cb);
     }
 }

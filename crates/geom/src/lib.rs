@@ -21,7 +21,7 @@
 //! * [`stereo`] — the stereographic lift `R^d -> S^d ⊂ R^{d+1}`, its
 //!   inverse, and the conformal dilation `D_α` of MTTV.
 //! * [`radon`] — Radon points of `d+2` points.
-//! * [`centerpoint`] — approximate centerpoints by iterated Radon points.
+//! * [`centerpoint`] — approximate centerpoints by a Radon-point tree.
 //!
 //! Everything is deterministic given an external RNG; no global state.
 

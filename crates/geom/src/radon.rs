@@ -2,7 +2,7 @@
 //!
 //! Radon's theorem: any `d + 2` points in `R^d` can be partitioned into two
 //! sets whose convex hulls intersect; a point in the intersection is a
-//! *Radon point*. Iterating Radon points yields the approximate centerpoints
+//! *Radon point*. A tree of Radon points yields the approximate centerpoints
 //! the MTTV separator pipeline needs (see [`crate::centerpoint`]).
 
 use crate::matrix::DMatrix;
@@ -29,9 +29,9 @@ pub struct RadonPoint<const D: usize> {
 /// vector of the `(D+1) × (D+2)` system whose rows are the coordinates plus
 /// the constraint `Σ λ_i = 0`.
 ///
-/// This is the inner loop of the iterated-Radon centerpoint scheme (hundreds
-/// of thousands of calls per k-NN run), so it runs entirely on fixed-size
-/// stack buffers — no heap traffic. The elimination replicates
+/// This is the inner loop of the Radon-tree centerpoint (six calls per 2-D
+/// separator candidate, tens of thousands per k-NN run), so it runs
+/// entirely on fixed-size stack buffers — no heap traffic. The elimination replicates
 /// [`DMatrix::null_vector`] operation for operation (same partial-pivoting
 /// choices, same update order), so the result is bitwise identical to the
 /// heap-backed path and downstream separator draws are unperturbed.

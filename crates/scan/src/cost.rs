@@ -119,6 +119,7 @@ pub struct CostMeter {
     marching_balls: AtomicU64,
     march_pruned: AtomicU64,
     query_builds: AtomicU64,
+    punt_candidates: AtomicU64,
     distance_evals: AtomicU64,
     correction_dist_evals: AtomicU64,
     f32_rejects: AtomicU64,
@@ -144,6 +145,9 @@ pub struct MeterSnapshot {
     pub march_pruned: u64,
     /// Query structures built (punt path).
     pub query_builds: u64,
+    /// Separator candidates drawn by the punt path's query-structure
+    /// builds (not part of [`MeterSnapshot::separator_candidates`]).
+    pub punt_candidates: u64,
     /// Point-to-point distance evaluations.
     pub distance_evals: u64,
     /// Distance evaluations spent on Fast-Correction candidates (a subset
@@ -203,6 +207,11 @@ impl CostMeter {
         self.query_builds.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record `n` separator candidates drawn by a punt-path query build.
+    pub fn add_punt_candidates(&self, n: u64) {
+        self.punt_candidates.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Record `n` distance evaluations.
     pub fn add_distance_evals(&self, n: u64) {
         self.distance_evals.fetch_add(n, Ordering::Relaxed);
@@ -243,6 +252,7 @@ impl CostMeter {
             marching_balls: self.marching_balls.load(Ordering::Relaxed),
             march_pruned: self.march_pruned.load(Ordering::Relaxed),
             query_builds: self.query_builds.load(Ordering::Relaxed),
+            punt_candidates: self.punt_candidates.load(Ordering::Relaxed),
             distance_evals: self.distance_evals.load(Ordering::Relaxed),
             correction_dist_evals: self.correction_dist_evals.load(Ordering::Relaxed),
             f32_rejects: self.f32_rejects.load(Ordering::Relaxed),

@@ -1,32 +1,25 @@
 //! Tunable constants for separator construction.
 
-use sepdc_geom::centerpoint::CenterpointOpts;
-
 /// Configuration for the unit-time sphere separator and the retry search.
 ///
 /// Defaults follow the paper: the acceptance split ratio is
 /// `δ = (d+1)/(d+2) + ε` with a small constant `ε` (the paper requires
 /// `0 < ε < 1/(d+2)`), and every quantity that must be "constant" for the
-/// unit-time claim (sample size, centerpoint effort) is a constant
-/// independent of `n`.
+/// unit-time claim (the Radon-tree height, and with it the sample size) is
+/// a constant independent of `n`.
 #[derive(Clone, Copy, Debug)]
 pub struct SeparatorConfig {
     /// Slack `ε` added to the ideal split ratio `(d+1)/(d+2)`.
     pub epsilon: f64,
-    /// Random sample size used per candidate (constant for unit time).
-    pub sample_size: usize,
-    /// Iterated-Radon centerpoint effort.
-    pub centerpoint: CenterpointOpts,
+    /// Height of the Radon-point tree that computes each candidate's
+    /// centerpoint. A candidate draws `(d+3)^radon_levels` sample points
+    /// (groups of `d + 3` lifted points collapse level by level), so this
+    /// one knob fixes both the sample size and the centerpoint effort.
+    pub radon_levels: u32,
     /// Maximum unit-time candidates before the search falls back to a
     /// deterministic median cut (the theory gives success probability
     /// ≥ 1/2 per candidate, so this is hit with probability `2^-max`).
     pub max_attempts: usize,
-    /// Candidates evaluated per speculative wave by the parallel sweep
-    /// ([`find_good_separator_par`](crate::find_good_separator_par)).
-    /// The sweep always selects the lowest-indexed acceptable candidate,
-    /// so this knob moves wall-clock only — never the output. `1` (or a
-    /// single-thread pool) degenerates to the serial short-circuit scan.
-    pub sweep_width: usize,
     /// Numeric tolerance for classification.
     pub tol: f64,
 }
@@ -35,16 +28,11 @@ impl Default for SeparatorConfig {
     fn default() -> Self {
         SeparatorConfig {
             epsilon: 0.04,
-            sample_size: 128,
-            // Lighter than the CenterpointOpts default: separator
-            // candidates are retried on failure, so a slightly shallower
-            // centerpoint is the right trade for unit-time candidates.
-            centerpoint: CenterpointOpts {
-                buffer_size: 96,
-                rounds_factor: 4,
-            },
+            // 25 points and 6 Radon calls in 2-D. A third level (125
+            // points, 31 calls) made 1-thread k-NN and index builds
+            // slower; see EXP-12.
+            radon_levels: 2,
             max_attempts: 48,
-            sweep_width: 4,
             tol: 1e-9,
         }
     }
@@ -55,6 +43,12 @@ impl SeparatorConfig {
     pub fn delta(&self, d: usize) -> f64 {
         assert!(d >= 1, "dimension must be positive");
         (d as f64 + 1.0) / (d as f64 + 2.0) + self.epsilon
+    }
+
+    /// Sample points one candidate draws in dimension `d`: the leaves of a
+    /// Radon tree over the `d + 1`-dimensional lift, `(d+3)^radon_levels`.
+    pub fn sample_size(&self, d: usize) -> usize {
+        (d + 3).pow(self.radon_levels)
     }
 }
 
@@ -79,6 +73,13 @@ mod tests {
             assert!(cfg.epsilon > 0.0 && cfg.epsilon < 1.0 / (d as f64 + 2.0));
             assert!(cfg.delta(d) < 1.0);
         }
+    }
+
+    #[test]
+    fn default_sample_is_a_two_level_tree() {
+        let cfg = SeparatorConfig::default();
+        assert_eq!(cfg.sample_size(2), 25);
+        assert_eq!(cfg.sample_size(3), 36);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! * [`mttv`] — the Miller–Teng–Thurston–Vavasis **Unit Time Sphere
 //!   Separator Algorithm** (Section 2.1 of the paper): constant-size random
-//!   sample, approximate centerpoint of the stereographic lift, conformal
+//!   sample, Radon-tree centerpoint of the stereographic lift, conformal
 //!   normalization, uniform random great circle, pulled back to a sphere or
 //!   hyperplane in the input space. Constant work per candidate after the
 //!   sample is drawn.
@@ -15,7 +15,7 @@
 //! * [`search`] — the retry loop ("iteratively apply the unit-time algorithm
 //!   until a good separator is found") with a deterministic median-cut
 //!   fallback so non-adversarial callers always make progress.
-//! * [`config`] — all constants (`ε`, `δ`, sample sizes, retry caps) with
+//! * [`config`] — all constants (`ε`, `δ`, Radon-tree height, retry caps) with
 //!   paper-faithful defaults.
 
 #![warn(missing_docs)]

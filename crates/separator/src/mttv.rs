@@ -2,12 +2,13 @@
 //!
 //! One candidate draw (after the sample) costs work independent of `n`:
 //!
-//! 1. draw a constant-size random sample of the input points;
+//! 1. draw a constant-size random sample of the input points
+//!    (`(d+3)^radon_levels` of them, with replacement);
 //! 2. normalize coordinates into a unit box (uniform scale + translation —
 //!    a similarity, so spheres pull back exactly);
 //! 3. stereographically lift the sample to `S^d ⊂ R^{d+1}`;
-//! 4. compute an approximate centerpoint of the lifted sample by iterated
-//!    Radon points;
+//! 4. compute an approximate centerpoint of the lifted sample by a Radon
+//!    tree (groups of `d + 3` lifted points collapse level by level);
 //! 5. build the conformal normalization (rotation + dilation) that moves the
 //!    centerpoint to the origin;
 //! 6. draw a uniform random great circle and pull it back to a sphere or
@@ -20,7 +21,7 @@
 
 use crate::config::SeparatorConfig;
 use rand::Rng;
-use sepdc_geom::centerpoint::{approximate_centerpoint, random_directions};
+use sepdc_geom::centerpoint::{radon_tree_centerpoint, random_directions};
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 use sepdc_geom::sphere::Sphere;
@@ -87,24 +88,21 @@ pub fn unit_time_candidate<const D: usize, const E: usize, R: Rng>(
     assert!(!points.is_empty(), "cannot separate an empty point set");
 
     // 1. Constant-size sample (with replacement — preserves centerpoint
-    //    quality w.h.p. and keeps the candidate cost independent of n).
-    let sample: Vec<Point<D>> = if points.len() <= cfg.sample_size {
-        points.to_vec()
-    } else {
-        (0..cfg.sample_size)
-            .map(|_| points[rng.gen_range(0..points.len())])
-            .collect()
-    };
+    //    quality w.h.p. and keeps the candidate cost independent of n). Its
+    //    size is exactly the leaf count of the Radon tree in step 4.
+    let sample: Vec<Point<D>> = (0..cfg.sample_size(D))
+        .map(|_| points[rng.gen_range(0..points.len())])
+        .collect();
 
     // 2. Normalize.
     let norm = BoxNorm::fit(&sample);
-    let normalized: Vec<Point<D>> = sample.iter().map(|p| norm.forward(p)).collect();
 
     // 3. Lift.
-    let lifted: Vec<Point<E>> = normalized.iter().map(lift).collect();
+    let lifted: Vec<Point<E>> = sample.iter().map(|p| lift(&norm.forward(p))).collect();
 
-    // 4. Approximate centerpoint of the lifted sample.
-    let mut z = approximate_centerpoint(&lifted, rng, cfg.centerpoint);
+    // 4. Approximate centerpoint of the lifted sample (no randomness: the
+    //    sample order decides the groups).
+    let mut z = radon_tree_centerpoint(&lifted);
     // The centerpoint of points on the sphere lies strictly inside the unit
     // ball except in degenerate one-point configurations; clamp for safety.
     let zn = z.norm();

@@ -5,7 +5,7 @@
 //! a strictly sequential one — must reproduce them byte for byte. The
 //! per-node seeding scheme (`sepdc::core::seeding`) derives every node's
 //! RNG stream from the root seed and the node's root-to-node path, and the
-//! parallel sweep/partition/march paths are all order-preserving, so this
+//! parallel partition/march paths are all order-preserving, so this
 //! holds by construction; these tests pin it through the public facade.
 
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
@@ -88,7 +88,7 @@ fn construction_identical_across_pools_clustered() {
 fn construction_identical_across_pools_degenerate() {
     // Grid (massive ties) and NoisyLine (near-lower-dimensional) are the
     // adversarial routing cases: many points sit within tolerance of the
-    // separator surfaces, so any evaluation-order dependence in the sweep
+    // separator surfaces, so any evaluation-order dependence in the search
     // or the partition would surface here first.
     check_workload(Workload::Grid, 2048, 2, 43);
     check_workload(Workload::NoisyLine, 1500, 2, 44);
@@ -110,7 +110,7 @@ fn construction_identical_with_duplicates() {
 
 #[test]
 fn query_structure_build_identical_across_pools() {
-    // The Section 3 build shares the sweep + path-seeding machinery; its
+    // The Section 3 build shares the search + path-seeding machinery; its
     // internal node type is private, so parity is pinned through stats,
     // the work/depth profile, and behavior on a fixed probe batch.
     let pts = Workload::Clusters.generate::<2>(2500, 47);

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use sepdc::geom::ball::Ball;
+use sepdc::geom::centerpoint::radon_tree_centerpoint;
 use sepdc::geom::matrix::Rotation;
 use sepdc::geom::point::Point;
 use sepdc::geom::radon::{in_simplex_hull, radon_point};
@@ -22,7 +23,51 @@ fn point3() -> impl Strategy<Value = Point<3>> {
     [coord(), coord(), coord()].prop_map(Point::from)
 }
 
+fn point4() -> impl Strategy<Value = Point<4>> {
+    [coord(), coord(), coord(), coord()].prop_map(Point::from)
+}
+
+/// The Radon-tree centerpoint is finite and inside the axis-aligned
+/// bounding box of its input (every Radon point and centroid is a convex
+/// combination of its group), up to rounding.
+fn centerpoint_in_bbox<const D: usize>(pts: &[Point<D>]) -> Result<(), TestCaseError> {
+    let c = radon_tree_centerpoint(pts);
+    prop_assert!(c.is_finite(), "{c:?}");
+    for i in 0..D {
+        let lo = pts.iter().map(|p| p[i]).fold(f64::INFINITY, f64::min);
+        let hi = pts.iter().map(|p| p[i]).fold(f64::NEG_INFINITY, f64::max);
+        let slack = 1e-9 * (1.0 + lo.abs().max(hi.abs()));
+        prop_assert!(
+            c[i] >= lo - slack && c[i] <= hi + slack,
+            "axis {i}: {} outside [{lo}, {hi}]",
+            c[i]
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn radon_tree_centerpoint_is_finite_and_in_bbox_2d(
+        pts in proptest::collection::vec(point2(), 1..80),
+    ) {
+        centerpoint_in_bbox(&pts)?;
+    }
+
+    #[test]
+    fn radon_tree_centerpoint_is_finite_and_in_bbox_3d(
+        pts in proptest::collection::vec(point3(), 1..80),
+    ) {
+        centerpoint_in_bbox(&pts)?;
+    }
+
+    #[test]
+    fn radon_tree_centerpoint_is_finite_and_in_bbox_4d(
+        pts in proptest::collection::vec(point4(), 1..80),
+    ) {
+        centerpoint_in_bbox(&pts)?;
+    }
+
     #[test]
     fn lift_is_on_unit_sphere_and_invertible(p in point3()) {
         let x: Point<4> = lift(&p);

@@ -1,11 +1,11 @@
 //! Property tests for the deterministic per-node seeding scheme
-//! (`sepdc::core::seeding`) and the per-candidate sweep seeds
+//! (`sepdc::core::seeding`) and the per-candidate search seeds
 //! (`sepdc::separator::candidate_seed`).
 //!
 //! The construction's determinism contract rests on two facts: distinct
 //! root-to-node paths never collide to the same RNG stream (up to the
 //! automatic depth bound, `8·⌈log2 n⌉ + 64 = 320` for the largest
-//! `u32`-indexed input), and candidate 0 of the sweep reproduces the
+//! `u32`-indexed input), and candidate 0 of the seeded search reproduces the
 //! pre-sweep serial stream exactly. These properties pin both.
 
 use proptest::prelude::*;
