@@ -123,9 +123,9 @@ fn run_case<const D: usize, const E: usize>(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // --acceptance: run only the PR-1 acceptance case once — the CI
-    // perf-regression smoke compares its median against the checked-in
-    // baseline artifact.
+    // --acceptance: run only the PR-1 acceptance case and the large-k
+    // guard once each — the CI perf-regression smoke compares their
+    // medians and result hashes against the checked-in baseline artifact.
     let acceptance_only = std::env::args().any(|a| a == "--acceptance");
     let (reps, scale) = if smoke { (1, 25) } else { (3, 1) };
     let reps = if acceptance_only { 1 } else { reps };
@@ -145,12 +145,22 @@ fn main() {
         ],
     );
 
+    // Large-k guard: at k=16 the ply factor of the punt threshold and the
+    // leaf selection carry the run, so a regression in either shows here.
+    let large_k = Case {
+        workload: Workload::Clusters,
+        n: 50_000 / scale,
+        k: 16,
+    };
     let cases_2d: Vec<Case> = if acceptance_only {
-        vec![Case {
-            workload: Workload::UniformCube,
-            n: 100_000,
-            k: 4,
-        }]
+        vec![
+            Case {
+                workload: Workload::UniformCube,
+                n: 100_000,
+                k: 4,
+            },
+            large_k,
+        ]
     } else {
         vec![
             Case {
@@ -173,6 +183,7 @@ fn main() {
                 n: 50_000 / scale,
                 k: 4,
             },
+            large_k,
             Case {
                 workload: Workload::SphereShell,
                 n: 50_000 / scale,

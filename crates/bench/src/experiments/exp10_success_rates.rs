@@ -70,34 +70,47 @@ pub fn run() {
             "max ι/threshold",
         ],
     );
-    let kcfg = KnnDcConfig::new(1).with_seed(23);
+    // k=1 on every workload, plus the clustered k=16 case where the
+    // threshold's k^{1/d} ply factor matters.
+    let mut runs: Vec<(Workload, usize, usize)> = Vec::new();
     for w in [
         Workload::UniformCube,
         Workload::Clusters,
         Workload::SphereShell,
         Workload::TwoSlabs,
     ] {
-        for &n in &[1usize << 13, 1 << 15] {
-            let pts = w.generate::<2>(n, 5);
-            let out = parallel_knn::<2, 3>(&pts, &kcfg);
-            let s = out.stats;
-            let punts = s.punts_threshold + s.punts_marching;
-            let total = s.fast_corrections + punts;
-            table_b.row(
-                format!("{} n={n}", w.name()),
-                vec![
-                    format!("{}", s.fast_corrections),
-                    format!("{}", s.punts_threshold),
-                    format!("{}", s.punts_marching),
-                    format!("{:.1}%", 100.0 * punts as f64 / total.max(1) as f64),
-                    format!("{:.2}", s.max_marching_ratio),
-                    format!("{:.2}", s.max_crossing_vs_threshold),
-                ],
-            );
+        for n in [1usize << 13, 1 << 15] {
+            runs.push((w, n, 1));
         }
     }
+    runs.push((Workload::Clusters, 1 << 15, 16));
+    for (w, n, k) in runs {
+        let kcfg = KnnDcConfig::new(k).with_seed(23);
+        let pts = w.generate::<2>(n, 5);
+        let out = parallel_knn::<2, 3>(&pts, &kcfg);
+        let s = out.stats;
+        let punts = s.punts_threshold + s.punts_marching;
+        let total = s.fast_corrections + punts;
+        let label = if k == 1 {
+            format!("{} n={n}", w.name())
+        } else {
+            format!("{} n={n} k={k}", w.name())
+        };
+        table_b.row(
+            label,
+            vec![
+                format!("{}", s.fast_corrections),
+                format!("{}", s.punts_threshold),
+                format!("{}", s.punts_marching),
+                format!("{:.1}%", 100.0 * punts as f64 / total.max(1) as f64),
+                format!("{:.2}", s.max_marching_ratio),
+                format!("{:.2}", s.max_crossing_vs_threshold),
+            ],
+        );
+    }
     table_b.note("punt % stays small: the fast path dominates, so the Punting Lemma's");
-    table_b.note("'constant factor' claim is visible directly.");
+    table_b.note("'constant factor' claim is visible directly — at k=16 too, since the");
+    table_b.note("threshold scales by the ply factor k^(1/d).");
     table_b.note("max march ratio < 1: successful marches respect the m^(1-η) bound of Lemma 6.2.");
     table_b.print();
 }

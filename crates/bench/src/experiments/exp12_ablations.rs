@@ -6,8 +6,9 @@
 //!    unit-time claim, fixing both the sample size `(d+3)^L` and the
 //!    centerpoint effort: success probability and split quality vs
 //!    candidate cost;
-//! 2. **punt slack** — the constant in the `m^μ` threshold: punt rate vs
-//!    total depth of the §6 algorithm;
+//! 2. **punt slack** — the constant in the `k^{1/d} · m^μ` threshold: punt
+//!    rate vs total depth and wall time of the §6 algorithm, at k=1 and on
+//!    a clustered k=16 input;
 //! 3. **fast correction on/off** — forcing every correction through the
 //!    query structure shows what the §6 machinery buys over §5-style
 //!    correction while holding the sphere partition fixed.
@@ -61,23 +62,36 @@ fn ablate_radon_levels(table: &mut Table) {
 }
 
 fn ablate_punt_slack(table: &mut Table) {
-    let pts = Workload::UniformCube.generate::<2>(1 << 15, 7);
-    for slack in [0.5f64, 1.0, 2.0, 4.0, 16.0] {
-        let cfg = KnnDcConfig {
-            punt_slack: slack,
-            ..KnnDcConfig::new(1)
-        };
-        let out = parallel_knn::<2, 3>(&pts, &cfg);
-        let punts = out.stats.punts_threshold + out.stats.punts_marching;
-        let total = punts + out.stats.fast_corrections;
-        table.row(
-            format!("punt_slack={slack}"),
-            vec![
-                format!("{:.1}%", 100.0 * punts as f64 / total.max(1) as f64),
-                format!("{}", out.cost.depth),
-                format!("{:.1}", out.cost.work as f64 / 1e6),
-            ],
-        );
+    // k=1 on uniform is the reference sweep. The threshold carries the
+    // paper's k^{1/d} ply factor, so the clustered k=16 rows should punt
+    // at about the k=1 rate of the same input at every slack.
+    let uniform = Workload::UniformCube.generate::<2>(1 << 15, 7);
+    let clusters = Workload::Clusters.generate::<2>(1 << 15, 7);
+    for (name, pts, k) in [
+        ("uniform k=1", &uniform, 1usize),
+        ("clusters k=1", &clusters, 1),
+        ("clusters k=16", &clusters, 16),
+    ] {
+        for slack in [0.5f64, 1.0, 2.0, 4.0, 16.0] {
+            let cfg = KnnDcConfig {
+                punt_slack: slack,
+                ..KnnDcConfig::new(k)
+            };
+            let t0 = std::time::Instant::now();
+            let out = parallel_knn::<2, 3>(pts, &cfg);
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let punts = out.stats.punts_threshold + out.stats.punts_marching;
+            let total = punts + out.stats.fast_corrections;
+            table.row(
+                format!("{name} punt_slack={slack}"),
+                vec![
+                    format!("{:.1}%", 100.0 * punts as f64 / total.max(1) as f64),
+                    format!("{}", out.cost.depth),
+                    format!("{:.1}", out.cost.work as f64 / 1e6),
+                    format!("{wall_ms:.0}"),
+                ],
+            );
+        }
     }
 }
 
@@ -164,12 +178,20 @@ pub fn run() {
     t1.print();
 
     let mut t2 = Table::new(
-        "EXP-12b — ablation: punt threshold slack (§6, uniform 2^15)",
-        &["slack", "punt rate", "depth", "work (M ops)"],
+        "EXP-12b — ablation: punt threshold slack (§6, 2^15 points)",
+        &[
+            "input, slack",
+            "punt rate",
+            "depth",
+            "work (M ops)",
+            "wall ms",
+        ],
     );
     ablate_punt_slack(&mut t2);
     t2.note("small slack punts often (depth grows toward §5's log²); large slack");
-    t2.note("never punts. Correctness is unaffected — verified elsewhere.");
+    t2.note("never punts. Correctness is unaffected — verified elsewhere. The");
+    t2.note("threshold is punt_slack · k^(1/d) · m^μ, so at k=16 the punt rate per");
+    t2.note("slack tracks the k=1 rows instead of acting like a 4x smaller slack.");
     t2.print();
 
     let mut t3 = Table::new(

@@ -98,11 +98,12 @@ pub struct KnnDcConfig {
     /// Exponent slack for the punt threshold `m^μ`,
     /// `μ = (d-1)/d + mu_epsilon` (paper: `μ = (d-1)/d + ε`).
     pub mu_epsilon: f64,
-    /// Constant multiplier on the `m^μ` punt threshold — the hidden
-    /// constant of the paper's `O(k^{1/d} m^μ)` intersection bound. Too
-    /// small a value punts at every shallow node; the default keeps the
-    /// fast path dominant on benign inputs while still punting on genuine
-    /// outliers.
+    /// Constant multiplier on the `k^{1/d} · m^μ` punt threshold — the
+    /// hidden constant of the paper's `O(k^{1/d} m^μ)` intersection bound
+    /// (a `k`-ply neighborhood system has `O(k^{1/d} m^{(d-1)/d})` balls
+    /// crossing a good separator). Too small a value punts at every
+    /// shallow node; the default keeps the fast path dominant on benign
+    /// inputs at every `k` while still punting on genuine outliers.
     pub punt_slack: f64,
     /// The `η` of Lemma 6.2: the fast-correction march aborts (punts) when
     /// some level holds more than `marching_slack · m^{1-η}` active balls.
@@ -285,11 +286,14 @@ impl KnnDcConfig {
         }
     }
 
-    /// The punt threshold `punt_slack · m^μ` for a subset of size `m` in
-    /// dimension `d`.
+    /// The punt threshold `punt_slack · k^{1/d} · m^μ` for a subset of
+    /// size `m` in dimension `d`. The ply factor `k^{1/d}` is exactly 1.0
+    /// at `k = 1`, so the `k = 1` threshold is bit-for-bit
+    /// `punt_slack · m^μ`.
     pub fn punt_threshold(&self, m: usize, d: usize) -> f64 {
         let mu = (d as f64 - 1.0) / d as f64 + self.mu_epsilon;
-        self.punt_slack * (m as f64).powf(mu)
+        let ply = (self.k as f64).powf(1.0 / d as f64);
+        self.punt_slack * ply * (m as f64).powf(mu)
     }
 
     /// The marching active-ball limit `marching_slack · m^{1-η}`.
@@ -391,6 +395,42 @@ mod tests {
         let cfg = KnnDcConfig::new(1);
         let t = cfg.punt_threshold(10_000, 2);
         assert!(t > 100.0 && t < 10_000.0, "threshold {t}");
+    }
+
+    #[test]
+    fn punt_threshold_k1_has_no_ply_factor() {
+        let cfg = KnnDcConfig::new(1);
+        for (m, d) in [(64usize, 2usize), (1000, 2), (10_000, 3), (777, 4), (2, 1)] {
+            let mu = (d as f64 - 1.0) / d as f64 + cfg.mu_epsilon;
+            let want = cfg.punt_slack * (m as f64).powf(mu);
+            assert_eq!(
+                cfg.punt_threshold(m, d).to_bits(),
+                want.to_bits(),
+                "m={m} d={d}"
+            );
+        }
+    }
+
+    #[test]
+    fn punt_threshold_scales_by_k_root_d() {
+        let k1 = KnnDcConfig::new(1);
+        // 16^{1/2} = 4: a power-of-two factor, so the scaling is exact.
+        let k16 = KnnDcConfig::new(16);
+        for m in [100usize, 5000, 50_000] {
+            assert_eq!(
+                k16.punt_threshold(m, 2),
+                4.0 * k1.punt_threshold(m, 2),
+                "m={m}"
+            );
+        }
+        // 8^{1/3} = 2 up to the rounding of 1/3 in the exponent.
+        let k8 = KnnDcConfig::new(8);
+        for m in [100usize, 5000, 50_000] {
+            let want = 2.0 * k1.punt_threshold(m, 3);
+            let got = k8.punt_threshold(m, 3);
+            let ulps = (got.to_bits() as i64 - want.to_bits() as i64).abs();
+            assert!(ulps <= 1, "m={m}: {got} vs {want} ({ulps} ulps)");
+        }
     }
 
     #[test]

@@ -369,37 +369,42 @@ pub(crate) fn brute_list_into<const D: usize>(
 }
 
 /// [`brute_list_into`] on the SoA arena: one blocked distance sweep over
-/// `ids` into `dists`, then the identical capped insertion pass. The
-/// distances are bit-for-bit the scalar kernel's and the candidate order is
-/// unchanged, so the resulting list is identical to the AoS path.
+/// `ids` into `dists`, then an `O(|ids|)` selection of the `k` smallest
+/// `(dist_sq, idx)` keys. Each candidate is packed into one `u128` key
+/// (`dist_sq` bits above the index) in the reused `keys` buffer. Squared
+/// distances of validated finite points are non-negative and never NaN,
+/// so the bit order is the numeric order and the keys follow the same
+/// `(dist_sq, idx)` total order as [`brute_list_into`]'s insertion pass.
+/// The distances are bit-for-bit the scalar kernel's and the keys are
+/// unique, so the resulting list is identical to the AoS path.
 pub(crate) fn brute_list_soa_into<const D: usize>(
     soa: &sepdc_geom::SoaPoints<D>,
     i: u32,
     ids: &[u32],
     k: usize,
     dists: &mut Vec<f64>,
+    keys: &mut Vec<u128>,
     out: &mut Vec<Neighbor>,
 ) {
-    out.clear();
     let pi = soa.point(i as usize);
     soa.dist_sq_gather_into(&pi, ids, dists);
-    for (&j, &d) in ids.iter().zip(dists.iter()) {
-        if i == j {
-            continue;
-        }
-        if out.len() == k {
-            let tail = out[out.len() - 1];
-            if d > tail.dist_sq || (d == tail.dist_sq && j >= tail.idx) {
-                continue;
-            }
-        }
-        let pos = out
-            .iter()
-            .position(|n| d < n.dist_sq || (d == n.dist_sq && j < n.idx))
-            .unwrap_or(out.len());
-        out.insert(pos, Neighbor { idx: j, dist_sq: d });
-        out.truncate(k);
+    keys.clear();
+    keys.extend(
+        ids.iter()
+            .zip(dists.iter())
+            .filter(|&(&j, _)| j != i)
+            .map(|(&j, &d)| (u128::from(d.to_bits()) << 32) | u128::from(j)),
+    );
+    if keys.len() > k {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
     }
+    keys.sort_unstable();
+    out.clear();
+    out.extend(keys.iter().map(|&key| Neighbor {
+        idx: key as u32,
+        dist_sq: f64::from_bits((key >> 32) as u64),
+    }));
 }
 
 #[cfg(test)]
@@ -562,11 +567,11 @@ mod tests {
         pts.push(pts[3]);
         let soa = sepdc_geom::SoaPoints::from_points(&pts);
         let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        let (mut a, mut b, mut dists) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut a, mut b, mut dists, mut keys) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for k in [1usize, 3, 8] {
             for &i in &ids {
                 brute_list_into(&pts, i, &ids, k, &mut a);
-                brute_list_soa_into(&soa, i, &ids, k, &mut dists, &mut b);
+                brute_list_soa_into(&soa, i, &ids, k, &mut dists, &mut keys, &mut b);
                 assert_eq!(a.len(), b.len(), "i={i} k={k}");
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.idx, y.idx, "i={i} k={k}");

@@ -3,16 +3,17 @@
 //! result.
 //!
 //! The recursion partitions with a **sphere separator** instead of a
-//! hyperplane, so only `ι_B(S) = O(m^μ)` balls cross the cut w.h.p.
-//! (Lemma 6.4), and the correction step can afford to be aggressive:
+//! hyperplane, so only `ι_B(S) = O(k^{1/d} m^μ)` balls of the `k`-ply
+//! neighborhood system cross the cut w.h.p. (Lemma 6.4), and the
+//! correction step can afford to be aggressive:
 //!
 //! * **fast path** — march the crossing balls down the opposite partition
 //!   subtree (Section 6.2). Reachable-leaf computation is `O(1)` rounds
 //!   with `h·2^h` processors (Lemma 6.3); candidate gathering and the
 //!   k-closest fix are `O(1)` scan rounds. Succeeds when no level holds
 //!   more than `m^{1-η}` active balls (Lemma 6.2, w.h.p.).
-//! * **punt** — when the node was unlucky (too many crossers, or the march
-//!   exploded), fall back to the Section 3 query structure, paying
+//! * **punt** — when the node was unlucky (at least
+//!   `punt_slack · k^{1/d} · m^μ` crossers, or the march exploded), fall back to the Section 3 query structure, paying
 //!   `O(log m)` rounds at this node. The Punting Lemma (4.1) shows the
 //!   punts along any root-leaf path sum to `O(log n)` w.h.p., so the whole
 //!   algorithm stays `O(log n)` depth.
@@ -61,12 +62,14 @@ pub struct ParallelDcStats {
     pub total_crossing: u64,
     /// Largest per-node crossing count.
     pub max_node_crossing: usize,
-    /// Largest per-node crossing count divided by the node's `m^μ` punt
-    /// threshold (> 1 means that node punted).
+    /// Largest per-node crossing count divided by the node's
+    /// `punt_slack · k^{1/d} · m^μ` punt threshold (≥ 1 means that node
+    /// punted).
     pub max_crossing_vs_threshold: f64,
     /// Nodes corrected on the fast path.
     pub fast_corrections: u64,
-    /// Nodes that punted because the crossing count exceeded `m^μ`.
+    /// Nodes that punted because the crossing count reached the
+    /// `punt_slack · k^{1/d} · m^μ` threshold.
     pub punts_threshold: u64,
     /// Nodes that punted because the march exceeded the active-ball limit.
     pub punts_marching: u64,
@@ -385,16 +388,17 @@ fn leaf_case<const D: usize>(
 ) {
     let m = ids.len();
     let t0 = ctx.obs.start();
-    // Write each leaf list straight into the shared store through one
-    // reused scratch buffer: allocating a full n-point KnnResult here
+    // Write each leaf list straight into the shared store through reused
+    // scratch buffers: allocating a full n-point KnnResult here
     // costs O(n) per leaf, which dominates the whole recursion
     // (O(n²/base) total) once n is large. Distances come from the SoA
     // arena's blocked kernel (bit-identical to the scalar scan).
     let k = ctx.lists.k();
     let mut scratch = Vec::with_capacity(k + 1);
     let mut dists = Vec::with_capacity(m);
+    let mut keys = Vec::with_capacity(m);
     for &i in ids {
-        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut scratch);
+        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut keys, &mut scratch);
         ctx.lists.set_list(i as usize, &scratch);
     }
     ctx.meter.add_distance_evals((m * m) as u64);
@@ -892,6 +896,49 @@ mod tests {
     fn matches_oracle_3d() {
         check_matches_oracle::<3, 4>(Workload::UniformCube, 800, 2, 7);
         check_matches_oracle::<3, 4>(Workload::Clusters, 800, 1, 8);
+    }
+
+    /// Checks `parallel_knn` against the oracle row by row, ids and
+    /// `dist_sq` bits alike: the §6 lists follow the oracle's
+    /// `(dist_sq, idx)` order, so ties must resolve the same way.
+    fn check_identical_to_oracle<const D: usize, const E: usize>(
+        pts: &[sepdc_geom::Point<D>],
+        k: usize,
+        seed: u64,
+        what: &str,
+    ) {
+        let out = parallel_knn::<D, E>(pts, &KnnDcConfig::new(k).with_seed(seed));
+        let oracle = brute_force_knn(pts, k);
+        out.knn.check_invariants().unwrap();
+        for i in 0..pts.len() {
+            let (got, want) = (out.knn.neighbors(i), oracle.neighbors(i));
+            assert_eq!(got.len(), want.len(), "{what} k={k}: point {i}");
+            for (r, (x, y)) in got.iter().zip(want).enumerate() {
+                assert_eq!(x.idx, y.idx, "{what} k={k}: point {i} rank {r}");
+                assert_eq!(
+                    x.dist_sq.to_bits(),
+                    y.dist_sq.to_bits(),
+                    "{what} k={k}: point {i} rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_oracle_large_k() {
+        use rand::SeedableRng;
+        use sepdc_workloads::degenerate::duplicate_bundles;
+
+        // The ply-scaled punt threshold sends large-k nodes down the fast
+        // path far more often than k ≤ 4 does, and the leaf selection has
+        // to resolve ties at k ≫ 1 too.
+        let clusters = Workload::Clusters.generate::<2>(3000, 16);
+        check_identical_to_oracle::<2, 3>(&clusters, 16, 16, "clusters 2d");
+        let cube = Workload::UniformCube.generate::<3>(2000, 17);
+        check_identical_to_oracle::<3, 4>(&cube, 12, 17, "uniform-cube 3d");
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
+        let bundles = duplicate_bundles::<2, _>(1500, 6, &mut rng);
+        check_identical_to_oracle::<2, 3>(&bundles, 8, 18, "duplicate bundles 2d");
     }
 
     #[test]

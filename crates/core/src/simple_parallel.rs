@@ -339,14 +339,15 @@ fn rec<const D: usize, const E: usize>(
 
 fn solve_subset_into<const D: usize>(ctx: &Ctx<'_, D>, ids: &[u32], depth: usize) {
     let t0 = ctx.obs.start();
-    // Straight into the shared store through one reused scratch buffer; an
+    // Straight into the shared store through reused scratch buffers; an
     // n-point scratch KnnResult here would cost O(n) per leaf (O(n²/base)
     // across the recursion).
     let k = ctx.lists.k();
     let mut scratch = Vec::with_capacity(k + 1);
     let mut dists = Vec::with_capacity(ids.len());
+    let mut keys = Vec::with_capacity(ids.len());
     for &i in ids {
-        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut scratch);
+        brute_list_soa_into(ctx.soa, i, ids, k, &mut dists, &mut keys, &mut scratch);
         ctx.lists.set_list(i as usize, &scratch);
     }
     ctx.obs.stop(Phase::LeafSolve, t0);

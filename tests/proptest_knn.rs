@@ -123,4 +123,46 @@ proptest! {
             prop_assert!(at >= 1);
         }
     }
+
+    #[test]
+    fn single_leaf_matches_oracle_bitwise_2d(pts in cloud2(160), k in 1usize..40) {
+        single_leaf_matches_oracle::<2, 3>(&pts, k)?;
+    }
+
+    #[test]
+    fn single_leaf_matches_oracle_bitwise_3d(pts in cloud3(120), k in 1usize..30) {
+        single_leaf_matches_oracle::<3, 4>(&pts, k)?;
+    }
+}
+
+/// `base_case: Some(n)` makes the whole input one leaf, so the rows are the
+/// leaf selection's alone. The coarse grid supplies duplicated points and
+/// equidistant ties, and `k ≥ n` arises whenever the cloud is small; every
+/// row must equal the oracle's in ids and `dist_sq` bits.
+fn single_leaf_matches_oracle<const D: usize, const E: usize>(
+    pts: &[Point<D>],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let cfg = KnnDcConfig {
+        base_case: Some(pts.len()),
+        ..KnnDcConfig::new(k)
+    };
+    let out = parallel_knn::<D, E>(pts, &cfg);
+    prop_assert_eq!(out.stats.base_leaves, 1);
+    let oracle = brute_force_knn(pts, k);
+    for i in 0..pts.len() {
+        let got: Vec<(u32, u64)> = out
+            .knn
+            .neighbors(i)
+            .iter()
+            .map(|n| (n.idx, n.dist_sq.to_bits()))
+            .collect();
+        let want: Vec<(u32, u64)> = oracle
+            .neighbors(i)
+            .iter()
+            .map(|n| (n.idx, n.dist_sq.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want, "point {} of {}, k={}", i, pts.len(), k);
+    }
+    Ok(())
 }
