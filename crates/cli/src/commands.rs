@@ -8,10 +8,9 @@ use rand_chacha::ChaCha8Rng;
 use sepdc_core::serve::{CoverPredicate, ServeConfig};
 use sepdc_core::snapshot::{self, SnapshotKind};
 use sepdc_core::{
-    kdtree_all_knn, try_brute_force_knn, try_kdtree_all_knn, try_kdtree_all_knn_with,
-    try_parallel_knn, try_simple_parallel_knn, KnnDcConfig, KnnGraph, KnnResult,
-    NeighborhoodSystem, Precision, QueryTree, QueryTreeConfig, RunReport, SepdcError,
-    ShardedConfig, ShardedIndex, SplitterKind,
+    kdtree_all_knn, try_brute_force_knn, try_kdtree_all_knn, try_parallel_knn,
+    try_simple_parallel_knn, KnnDcConfig, KnnGraph, KnnResult, NeighborhoodSystem, QueryTree,
+    QueryTreeConfig, RunReport, SepdcError, ShardedConfig, ShardedIndex, SplitterKind,
 };
 use sepdc_separator::{find_good_separator, SeparatorConfig};
 use sepdc_workloads::Workload;
@@ -39,12 +38,6 @@ macro_rules! with_dim {
 pub fn splitter_by_name(name: &str) -> CliResult<SplitterKind> {
     SplitterKind::parse(name)
         .ok_or_else(|| format!("unknown splitter '{name}' (available: random, halving, graph)"))
-}
-
-/// Parse a `--precision` flag value into a [`Precision`] tier.
-pub fn precision_by_name(name: &str) -> CliResult<Precision> {
-    Precision::parse(name)
-        .ok_or_else(|| format!("unknown precision '{name}' (available: exact, mixed)"))
 }
 
 fn workload_by_name(name: &str) -> CliResult<Workload> {
@@ -84,8 +77,7 @@ pub struct KnnCommandOutput {
 
 /// `knn`: compute the k-NN graph of a point file with a chosen algorithm.
 ///
-/// `precision` selects the DESIGN.md §17 filtering tier (output-invisible;
-/// `mixed` is the default everywhere). `epsilon > 0` opts into `(1+ε)`-
+/// `epsilon > 0` opts into `(1+ε)`-
 /// approximate correction for the `parallel`/`simple` algorithms; the exact
 /// run is then computed alongside and the *measured* error certificate is
 /// appended to the report (`certificate.*` counters) and the summary.
@@ -96,7 +88,6 @@ pub fn knn(
     algo: &str,
     seed: u64,
     splitter: SplitterKind,
-    precision: Precision,
     epsilon: f64,
 ) -> CliResult<KnnCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
@@ -106,7 +97,6 @@ pub fn knn(
         algo: &str,
         seed: u64,
         splitter: SplitterKind,
-        precision: Precision,
         epsilon: f64,
     ) -> CliResult<KnnCommandOutput> {
         let points = parse_points::<D>(input)?;
@@ -123,7 +113,6 @@ pub fn knn(
         let cfg = KnnDcConfig::new(k)
             .with_seed(seed)
             .with_splitter(splitter)
-            .with_precision(precision)
             .with_epsilon(epsilon);
         let t0 = std::time::Instant::now();
         // Appends the measured ε error certificate (vs a fresh exact run)
@@ -171,8 +160,8 @@ pub fn knn(
                 );
                 let mut report = out.report;
                 if epsilon > 0.0 {
-                    let exact = try_parallel_knn::<D, E>(&points, &cfg.with_epsilon(0.0))
-                        .map(|o| o.knn);
+                    let exact =
+                        try_parallel_knn::<D, E>(&points, &cfg.with_epsilon(0.0)).map(|o| o.knn);
                     certify(&out.knn, exact, &mut extra, &mut report)?;
                 }
                 Ok((out.knn, extra, Some(report.to_json())))
@@ -193,17 +182,7 @@ pub fn knn(
                 }
                 Ok((out.knn, extra, Some(report.to_json())))
             }),
-            "kdtree" => try_kdtree_all_knn_with(&points, k, precision).map(|(r, fstats)| {
-                let extra = if precision.is_mixed() {
-                    format!(
-                        ", precision tier: {} f32 rejects / {} f64 confirms ({} bound violations)",
-                        fstats.f32_rejects, fstats.f64_confirms, fstats.unsafe_margin_hits,
-                    )
-                } else {
-                    String::new()
-                };
-                (r, extra, None)
-            }),
+            "kdtree" => try_kdtree_all_knn(&points, k).map(|r| (r, String::new(), None)),
             "brute" => try_brute_force_knn(&points, k).map(|r| (r, String::new(), None)),
             other => {
                 return Err(format!(
@@ -232,7 +211,7 @@ pub fn knn(
             report_json,
         })
     }
-    with_dim!(dim, run(input, k, algo, seed, splitter, precision, epsilon))
+    with_dim!(dim, run(input, k, algo, seed, splitter, epsilon))
 }
 
 /// Output of the `query` command.
@@ -266,7 +245,6 @@ pub fn query(
     seed: u64,
     chunk: usize,
     splitter: SplitterKind,
-    precision: Precision,
     epsilon: f64,
 ) -> CliResult<QueryCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
@@ -282,7 +260,6 @@ pub fn query(
         seed: u64,
         chunk: usize,
         splitter: SplitterKind,
-        precision: Precision,
         epsilon: f64,
     ) -> CliResult<QueryCommandOutput> {
         let points = parse_points::<D>(input)?;
@@ -298,7 +275,6 @@ pub fn query(
         let system = NeighborhoodSystem::from_knn(&points, &knn);
         let tree_cfg = QueryTreeConfig {
             splitter,
-            precision,
             ..QueryTreeConfig::default()
         };
         let tree =
@@ -312,7 +288,6 @@ pub fn query(
         let cfg = ServeConfig {
             chunk_size: chunk,
             record: true,
-            precision,
             epsilon,
             ..ServeConfig::default()
         };
@@ -360,7 +335,6 @@ pub fn query(
             seed,
             chunk,
             splitter,
-            precision,
             epsilon
         )
     )
@@ -395,7 +369,6 @@ pub fn index_build(
     seed: u64,
     sharded: Option<usize>,
     splitter: SplitterKind,
-    precision: Precision,
     epsilon: f64,
 ) -> CliResult<IndexBuildOutput> {
     let dim = resolve_dim(input, dim_flag)?;
@@ -405,18 +378,16 @@ pub fn index_build(
         seed: u64,
         sharded: Option<usize>,
         splitter: SplitterKind,
-        precision: Precision,
         epsilon: f64,
     ) -> CliResult<IndexBuildOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
             return Err(SepdcError::EmptyInput.to_string());
         }
-        // The tier and ε ride in the snapshot META (words 16/17), so a
-        // daemon loading this index serves with the same knobs.
+        // ε rides in the snapshot META (word 17), so a daemon loading
+        // this index serves with the same relaxation.
         let tree_cfg = QueryTreeConfig {
             splitter,
-            precision,
             epsilon,
             ..QueryTreeConfig::default()
         };
@@ -460,7 +431,7 @@ pub fn index_build(
         );
         Ok(IndexBuildOutput { snapshot, summary })
     }
-    with_dim!(dim, run(input, k, seed, sharded, splitter, precision, epsilon))
+    with_dim!(dim, run(input, k, seed, sharded, splitter, epsilon))
 }
 
 /// `index inspect`: print a snapshot's header and section table, then
@@ -490,7 +461,7 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                 let s = tree.stats();
                 Ok(format!(
                     "query-tree: {} balls, height {}, {} leaves, {} internals, \
-                     {} stored refs, seed {}, splitter {}, precision {} (ε = {}); \
+                     {} stored refs, seed {}, splitter {} (ε = {}); \
                      loaded + validated in {:.1} ms\n",
                     tree.len(),
                     s.height,
@@ -499,7 +470,6 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                     s.stored_balls,
                     tree.run_report().seed,
                     tree.splitter().name(),
-                    tree.precision().name(),
                     tree.epsilon(),
                     t0.elapsed().as_secs_f64() * 1e3,
                 ))
@@ -628,11 +598,11 @@ mod tests {
     #[test]
     fn generate_then_knn_roundtrip() {
         let pts = generate("uniform-cube", 200, 2, 7).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random, 0.0).unwrap();
         assert!(out.summary.contains("200 points (d=2)"));
         assert!(out.edges_csv.lines().count() > 200);
         // Same input through the oracle gives the same edge count.
-        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random, 0.0).unwrap();
         assert_eq!(
             out.edges_csv.lines().count(),
             oracle.edges_csv.lines().count()
@@ -644,7 +614,7 @@ mod tests {
         let pts = generate("clusters", 150, 3, 3).unwrap();
         let mut counts = Vec::new();
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random, 0.0).unwrap();
             counts.push(out.edges_csv.lines().count());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -653,7 +623,7 @@ mod tests {
     #[test]
     fn dimension_sniffing() {
         let pts = generate("uniform-cube", 50, 4, 1).unwrap();
-        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random, 0.0).unwrap();
         assert!(out.summary.contains("(d=4)"));
     }
 
@@ -663,7 +633,7 @@ mod tests {
             .unwrap_err()
             .contains("available"));
         let pts = generate("grid", 30, 2, 1).unwrap();
-        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random, Precision::Mixed, 0.0).is_err());
+        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random, 0.0).is_err());
     }
 
     #[test]
@@ -694,7 +664,7 @@ mod tests {
         // Satellite fix: degenerate splits, depth-capped leaves, and punt
         // counters used to be computed and then dropped on the floor.
         let pts = generate("uniform-cube", 400, 2, 9).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.0).unwrap();
         for needle in [
             "fast",
             "punts",
@@ -709,16 +679,16 @@ mod tests {
         ] {
             assert!(out.summary.contains(needle), "{}", out.summary);
         }
-        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random, 0.0).unwrap();
         for needle in ["forced leaves", "degenerate splits", "depth-capped"] {
             assert!(simple.summary.contains(needle), "{}", simple.summary);
         }
         // The brute/kdtree paths have no instrumented recursion.
-        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random, Precision::Mixed, 0.0)
+        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random, 0.0)
             .unwrap()
             .report_json
             .is_none());
-        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, Precision::Mixed, 0.0)
+        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.0)
             .unwrap()
             .report_json
             .is_none());
@@ -728,7 +698,7 @@ mod tests {
     fn knn_report_json_is_a_valid_run_report() {
         let pts = generate("clusters", 300, 3, 2).unwrap();
         for (algo, name) in [("parallel", "parallel"), ("simple", "simple")] {
-            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random, 0.0).unwrap();
             let json = out.report_json.as_deref().expect(algo);
             let rep = RunReport::from_json(json).unwrap();
             assert_eq!(rep.algo, name);
@@ -754,7 +724,6 @@ mod tests {
             11,
             32,
             SplitterKind::Random,
-            Precision::Mixed,
             0.0,
         )
         .unwrap();
@@ -783,7 +752,6 @@ mod tests {
             5,
             7,
             SplitterKind::Random,
-            Precision::Mixed,
             0.0,
         )
         .unwrap();
@@ -828,7 +796,6 @@ mod tests {
             1,
             8,
             SplitterKind::Random,
-            Precision::Mixed,
             0.0,
         )
         .unwrap_err();
@@ -845,7 +812,6 @@ mod tests {
             1,
             0,
             SplitterKind::Random,
-            Precision::Mixed,
             0.0,
         )
         .unwrap_err();
@@ -855,7 +821,7 @@ mod tests {
     #[test]
     fn report_pretty_printer_round_trip() {
         let pts = generate("uniform-cube", 250, 2, 4).unwrap();
-        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random, 0.0).unwrap();
         let rendered = report(out.report_json.as_deref().unwrap()).unwrap();
         assert!(rendered.contains("run report v1"), "{rendered}");
         assert!(rendered.contains("phase timings"), "{rendered}");
@@ -871,33 +837,19 @@ mod tests {
         let pts = generate("grid", 20, 2, 1).unwrap();
         // `k = 0` and empty inputs map to the typed SepdcError messages.
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap_err();
+            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random, 0.0).unwrap_err();
             assert!(err.contains("invalid k = 0"), "{algo}: {err}");
         }
-        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap_err();
+        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random, 0.0).unwrap_err();
         assert!(err.contains("empty"), "{err}");
     }
 
     #[test]
-    fn knn_precision_tiers_agree_and_epsilon_certifies() {
+    fn knn_epsilon_certifies() {
         let pts = generate("uniform-cube", 300, 2, 13).unwrap();
-        // Exact and mixed tiers return identical edges for every algorithm
-        // that supports the tier flag.
-        for algo in ["parallel", "simple", "kdtree"] {
-            let exact = knn(&pts, None, 2, algo, 3, SplitterKind::Random, Precision::Exact, 0.0)
-                .unwrap();
-            let mixed = knn(&pts, None, 2, algo, 3, SplitterKind::Random, Precision::Mixed, 0.0)
-                .unwrap();
-            assert_eq!(exact.edges_csv, mixed.edges_csv, "{algo}");
-        }
-        // The kdtree summary surfaces the tier counters in mixed mode only.
-        let kd = knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, Precision::Mixed, 0.0)
-            .unwrap();
-        assert!(kd.summary.contains("f32 rejects"), "{}", kd.summary);
         // ε > 0 runs the exact algorithm alongside and reports a measured
         // certificate in the summary and the report counters.
-        let eps = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, Precision::Mixed, 0.25)
-            .unwrap();
+        let eps = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.25).unwrap();
         assert!(eps.summary.contains("ε-certificate"), "{}", eps.summary);
         let rep = RunReport::from_json(eps.report_json.as_deref().unwrap()).unwrap();
         let max_err = rep.counter("certificate.max_rel_error").unwrap();
@@ -905,8 +857,7 @@ mod tests {
         assert_eq!(rep.counter("epsilon"), None, "epsilon echoes in config");
         assert!(rep.config.iter().any(|(n, v)| n == "epsilon" && *v == 0.25));
         // ε is a correction-path knob: algorithms without one reject it.
-        let err = knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, Precision::Mixed, 0.1)
-            .unwrap_err();
+        let err = knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.1).unwrap_err();
         assert!(err.contains("--epsilon requires"), "{err}");
     }
 
@@ -925,7 +876,6 @@ mod tests {
                 7,
                 64,
                 SplitterKind::Random,
-                Precision::Mixed,
                 eps,
             )
             .unwrap()
@@ -936,8 +886,7 @@ mod tests {
         assert!(rep.config.iter().any(|(n, v)| n == "epsilon" && *v == 0.5));
         let skips = rep.counter("precision.eps_skips").unwrap();
         let exact_rep = RunReport::from_json(&exact.report_json).unwrap();
-        let dropped =
-            exact_rep.counter("serve.hits").unwrap() - rep.counter("serve.hits").unwrap();
+        let dropped = exact_rep.counter("serve.hits").unwrap() - rep.counter("serve.hits").unwrap();
         assert_eq!(skips, dropped, "every dropped hit is counted");
         assert!(exact_rep.counter("precision.eps_skips").unwrap() == 0.0);
     }
@@ -947,7 +896,7 @@ mod tests {
         // NaN/inf coordinates are stopped at parse time with a line number,
         // so the algorithms only ever see finite points from the CLI.
         for poisoned in ["0.5,0.5\nNaN,0.25\n", "0.5,0.5\n0.25,inf\n"] {
-            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random, Precision::Mixed, 0.0).unwrap_err();
+            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random, 0.0).unwrap_err();
             assert!(err.contains("non-finite"), "{err}");
             assert!(err.contains("line 2"), "{err}");
         }

@@ -116,7 +116,7 @@ pub struct DaemonStats {
 /// What the daemon is serving: a frozen query tree, or a batch-dynamic
 /// sharded index that additionally accepts `insert`/`delete` lines.
 enum ServingIndex<const D: usize> {
-    Single(QueryTree<D>),
+    Single(Box<QueryTree<D>>),
     Sharded(ShardedIndex<D>),
 }
 
@@ -178,7 +178,7 @@ fn load_serving<const D: usize>(bytes: &[u8]) -> Result<ServingIndex<D>, String>
     let info = snapshot::inspect(bytes).map_err(|e| e.to_string())?;
     match info.kind {
         SnapshotKind::QueryTree => snapshot::load_query_tree::<D>(bytes)
-            .map(ServingIndex::Single)
+            .map(|tree| ServingIndex::Single(Box::new(tree)))
             .map_err(|e| e.to_string()),
         SnapshotKind::ShardedIndex => snapshot::load_sharded_index::<D>(bytes)
             .map(ServingIndex::Sharded)
@@ -576,7 +576,7 @@ fn serve_loop<const D: usize, const E: usize>(
 mod tests {
     use super::*;
     use crate::commands;
-    use sepdc_core::{Precision, SplitterKind};
+    use sepdc_core::SplitterKind;
     use std::io::Cursor;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -595,7 +595,7 @@ mod tests {
         let pts = commands::generate("uniform-cube", 400, 2, 3).unwrap();
         let probes = commands::generate("clusters", 120, 2, 9).unwrap();
         let built =
-            commands::index_build(&pts, Some(2), 2, 5, staging, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            commands::index_build(&pts, Some(2), 2, 5, staging, SplitterKind::Random, 0.0).unwrap();
         let snap = dir.join("index.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let q = commands::query(
@@ -609,7 +609,6 @@ mod tests {
             5,
             1024,
             SplitterKind::Random,
-            Precision::Mixed,
             0.0,
         )
         .unwrap();
@@ -677,7 +676,7 @@ mod tests {
         // A second, different snapshot to swap in.
         let pts2 = commands::generate("grid", 200, 2, 21).unwrap();
         let built2 =
-            commands::index_build(&pts2, Some(2), 2, 5, None, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            commands::index_build(&pts2, Some(2), 2, 5, None, SplitterKind::Random, 0.0).unwrap();
         let snap2 = dir.join("index2.snap");
         std::fs::write(&snap2, &built2.snapshot).unwrap();
         // A corrupt file the swap must reject while the old index serves on.
@@ -721,7 +720,7 @@ mod tests {
         let (snap, _, _) = fixture(&dir);
         let pts3 = commands::generate("uniform-cube", 100, 3, 4).unwrap();
         let built3 =
-            commands::index_build(&pts3, Some(3), 2, 5, None, SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            commands::index_build(&pts3, Some(3), 2, 5, None, SplitterKind::Random, 0.0).unwrap();
         let snap3 = dir.join("index3.snap");
         std::fs::write(&snap3, &built3.snapshot).unwrap();
         let input = format!("swap {}\nstats\n", snap3.display());
@@ -865,7 +864,7 @@ mod tests {
         // couple of inserts force a carry (shard rebuild) mid-session.
         let pts = commands::generate("uniform-cube", 40, 2, 3).unwrap();
         let built =
-            commands::index_build(&pts, Some(2), 1, 5, Some(4), SplitterKind::Random, Precision::Mixed, 0.0).unwrap();
+            commands::index_build(&pts, Some(2), 1, 5, Some(4), SplitterKind::Random, 0.0).unwrap();
         let snap = dir.join("tiny.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let input = "insert 9,9,0.5\ninsert 9.1,9.1,0.5\ninsert 9.2,9.2,0.5\n\

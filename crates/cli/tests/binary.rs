@@ -29,6 +29,26 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn precision_flag_is_rejected() {
+    // Exact f64 is the only distance path; the old tier flag is unknown.
+    let dir = tmpdir("precision_flag");
+    let pts = dir.join("pts.csv");
+    std::fs::write(&pts, "0.0,0.0\n1.0,0.0\n0.0,1.0\n").unwrap();
+    let flag = "precision";
+    let out = bin()
+        .args(["knn", "--input", pts.to_str().unwrap()])
+        .args([format!("--{flag}").as_str(), "mixed"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flags: {flag}")),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn generate_knn_figure_pipeline() {
     let dir = tmpdir("pipeline");
     let pts = dir.join("pts.csv");

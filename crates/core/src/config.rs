@@ -5,68 +5,6 @@ use crate::query::QueryTreeConfig;
 use crate::splitter::SplitterKind;
 use sepdc_separator::SeparatorConfig;
 
-/// Distance-evaluation tier for the candidate-filtering passes
-/// (DESIGN.md §17).
-///
-/// * [`Precision::Mixed`] (the default): candidates are first screened by
-///   the blocked f32 shadow kernels with a certified error bound
-///   ([`sepdc_geom::F32Bound`]); only survivors pay an exact f64
-///   evaluation. Answers are **byte-identical** to the exact tier — the
-///   bound makes every f32 reject provably safe — so this is on by
-///   default.
-/// * [`Precision::Exact`]: every candidate is evaluated in f64 directly
-///   (the pre-tier behavior, kept selectable for A/B measurement and as
-///   the reference the certificate of ε-mode is measured against).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Precision {
-    /// f64 everywhere; no f32 screening.
-    Exact,
-    /// f32 screening with certified-safe rejects, f64 confirmation.
-    #[default]
-    Mixed,
-}
-
-impl Precision {
-    /// Stable CLI / config-echo name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::Exact => "exact",
-            Precision::Mixed => "mixed",
-        }
-    }
-
-    /// Parse a CLI name (`exact` | `mixed`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "exact" => Some(Precision::Exact),
-            "mixed" => Some(Precision::Mixed),
-            _ => None,
-        }
-    }
-
-    /// Stable wire code (snapshot META, config echoes).
-    pub fn code(self) -> u64 {
-        match self {
-            Precision::Exact => 0,
-            Precision::Mixed => 1,
-        }
-    }
-
-    /// Inverse of [`Precision::code`].
-    pub fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(Precision::Exact),
-            1 => Some(Precision::Mixed),
-            _ => None,
-        }
-    }
-
-    /// `true` for the f32-screening tier.
-    pub fn is_mixed(self) -> bool {
-        self == Precision::Mixed
-    }
-}
-
 /// Radius multiplier `1 / (1+ε)` applied to crossing-ball radii in
 /// ε-approximate mode. Exactly `1.0` when `ε = 0`, so the exact path's
 /// arithmetic is untouched (multiplying a radius by 1.0 is an IEEE-754
@@ -116,10 +54,6 @@ pub struct KnnDcConfig {
     /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
     /// paper's engine, byte-identical to the pre-trait implementation.
     pub splitter: SplitterKind,
-    /// Distance-evaluation tier for the correction candidate filters
-    /// (owner-distance gathers, fast-correction fix loop). Answers are
-    /// byte-identical across tiers; see [`Precision`].
-    pub precision: Precision,
     /// Approximation slack ε ≥ 0 for the opt-in `(1+ε)`-approximate mode:
     /// crossing-ball radii are shrunk by `1/(1+ε)` before correction, so
     /// every reported k-th neighbor distance is at most `(1+ε)` times the
@@ -174,10 +108,6 @@ pub struct ServeConfig {
     /// Defaults to `false`: a high-throughput read path should not pay
     /// two clock reads per chunk unless asked to explain itself.
     pub record: bool,
-    /// Distance-evaluation tier for the per-leaf cover filter. The
-    /// returned id lists are byte-identical across tiers (the f32 reject
-    /// is certified safe), preserving the pure-function contract above.
-    pub precision: Precision,
     /// Approximation slack ε ≥ 0 for relaxed covering: a probe is
     /// reported covered only when `dist_sq <= r² / (1+ε)²`, and each ball
     /// the exact predicate admits but the relaxed one skips is counted in
@@ -193,7 +123,6 @@ impl Default for ServeConfig {
             chunk_size: 1024,
             parallel_threshold: 1024,
             record: false,
-            precision: Precision::default(),
             epsilon: 0.0,
         }
     }
@@ -230,7 +159,6 @@ impl KnnDcConfig {
             marching_slack: 8.0,
             separator: SeparatorConfig::default(),
             splitter: SplitterKind::Random,
-            precision: Precision::default(),
             epsilon: 0.0,
             query: QueryTreeConfig::default(),
             parallel_cutoff: 2048,
@@ -251,14 +179,6 @@ impl KnnDcConfig {
     pub fn with_splitter(mut self, kind: SplitterKind) -> Self {
         self.splitter = kind;
         self.query.splitter = kind;
-        self
-    }
-
-    /// With a specific distance-evaluation tier, applied to both the
-    /// correction filters and the punt-path query structure.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self.query.precision = precision;
         self
     }
 
@@ -534,15 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn precision_and_epsilon_knobs() {
-        // Mixed is the default tier at every layer (byte-identical answers).
+    fn epsilon_knobs() {
         let cfg = KnnDcConfig::new(1);
-        assert_eq!(cfg.precision, Precision::Mixed);
-        assert_eq!(cfg.query.precision, Precision::Mixed);
         assert_eq!(cfg.epsilon, 0.0);
-        let exact = cfg.with_precision(Precision::Exact);
-        assert_eq!(exact.precision, Precision::Exact);
-        assert_eq!(exact.query.precision, Precision::Exact);
+        assert_eq!(cfg.query.epsilon, 0.0);
         // with_epsilon relaxes only the top level (punt-path balls are
         // already shrunk).
         let eps = KnnDcConfig::new(1).with_epsilon(0.25);
@@ -555,7 +470,10 @@ mod tests {
             assert!(
                 matches!(
                     bad.validate(),
-                    Err(crate::SepdcError::InvalidConfig { param: "epsilon", .. })
+                    Err(crate::SepdcError::InvalidConfig {
+                        param: "epsilon",
+                        ..
+                    })
                 ),
                 "eps {bad_eps}"
             );
@@ -574,17 +492,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn precision_names_and_codes_round_trip() {
-        for p in [Precision::Exact, Precision::Mixed] {
-            assert_eq!(Precision::parse(p.name()), Some(p));
-            assert_eq!(Precision::from_code(p.code()), Some(p));
-        }
-        assert_eq!(Precision::parse("f16"), None);
-        assert_eq!(Precision::from_code(7), None);
-        assert!(Precision::Mixed.is_mixed() && !Precision::Exact.is_mixed());
     }
 
     #[test]

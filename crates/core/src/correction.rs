@@ -22,7 +22,7 @@ use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaPoints};
+use sepdc_geom::soa::SoaPoints;
 use sepdc_scan::CostProfile;
 
 /// A crossing ball together with its owning point id.
@@ -107,10 +107,6 @@ pub(crate) fn correct_unbounded<const D: usize>(
     unbounded: &[u32],
     opposite: &[u32],
 ) {
-    // Deliberately f64-only in every precision tier: an unbounded owner has
-    // an infinite cached radius (its list is under-full), so the certified
-    // f32 lower bound can never reject a candidate here — a f32 pre-pass
-    // would be pure overhead on an already rare path.
     let one = |&o: &u32| {
         // One blocked distance sweep per owner, then a batched merge (the
         // cached radius is loaded once per batch; `merge_candidate`
@@ -134,18 +130,10 @@ pub(crate) fn correct_unbounded<const D: usize>(
 /// every point of the subset; a point strictly inside a crossing ball from
 /// the *opposite* side is merged into that ball owner's list.
 ///
-/// In the mixed precision tier (`qcfg.precision`) the leaf cover scans run
-/// through the tiered f32 kernel inside the tree, and the owner-distance
-/// merge pass pre-rejects owners whose certified f32 lower bound already
-/// exceeds the owner's cached squared radius: `merge_candidate` would
-/// fast-reject those in f64 anyway (the cached radius only shrinks, so a
-/// stale read over-admits), which keeps the lists byte-identical while
-/// skipping the f64 gather for them.
-///
 /// The build is timed under [`Phase::PuntBuild`] in `obs`. Returns the
 /// work–depth cost of the build plus the query sweep (its
-/// `separator_candidates` are the build's candidates), and the accumulated
-/// precision-tier filter counters.
+/// `separator_candidates` are the build's candidates), and the number of
+/// balls the tree's ε relaxation skipped.
 pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     soa: &SoaPoints<D>,
     lists: &SharedLists,
@@ -154,35 +142,30 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     qcfg: QueryTreeConfig,
     seed: u64,
     obs: &RunRecorder,
-) -> (CostProfile, FilterStats) {
+) -> (CostProfile, u64) {
     if crossing.is_empty() || subset.is_empty() {
-        return (CostProfile::zero(), FilterStats::default());
+        return (CostProfile::zero(), 0);
     }
     let balls: Vec<Ball<D>> = crossing.iter().map(|c| c.ball).collect();
     let tree = obs.time(Phase::PuntBuild, || {
         QueryTree::build::<E>(&balls, qcfg, seed)
     });
     let height = tree.stats().height as u64;
-    let mixed = qcfg.precision.is_mixed();
 
     // Every subset point queries the structure; merges go through the
     // shared lists (order-independent). Chunks reuse one set of scratch
     // buffers: the leaf cover test and the owner-distance evaluation both
     // run through the blocked SoA kernels.
-    let process = |ids: &[u32]| -> FilterStats {
-        let mut stats = FilterStats::default();
-        let mut scratch32: Vec<f32> = Vec::new();
+    let process = |ids: &[u32]| -> u64 {
+        let mut eps_skips = 0;
         let mut scratch: Vec<f64> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
         let mut owners: Vec<u32> = Vec::new();
-        let mut survivors: Vec<u32> = Vec::new();
-        let mut survivor_d32: Vec<f32> = Vec::new();
-        let mut dists32: Vec<f32> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
         for &p_id in ids {
             let p = soa.point(p_id as usize);
             hits.clear();
-            tree.covering_into(&p, true, &mut scratch32, &mut scratch, &mut hits, &mut stats);
+            eps_skips += tree.covering_into(&p, true, &mut scratch, &mut hits).1;
             // Which side is this point on? Determined by ownership: a point
             // corrects only balls owned by the *other* side. We recover the
             // side from the crossing metadata at merge time instead of
@@ -197,60 +180,18 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
             if owners.is_empty() {
                 continue;
             }
-            let bound = mixed.then(|| soa.f32_bound(&p));
-            let merge_list: &[u32] = if let Some(bound) = bound {
-                // f32 pre-pass: reject owners whose certified lower bound
-                // already exceeds their cached squared radius. Safe because
-                // the cached radius is monotone non-increasing, so
-                // `lb > cached_now ⟹ d64 > cached_at_merge` and
-                // `merge_candidate` would be a no-op.
-                soa.dist_sq_f32_gather_into(&p, &owners, &mut dists32);
-                survivors.clear();
-                survivor_d32.clear();
-                for (&o, &d32) in owners.iter().zip(&dists32) {
-                    if bound.lower_bound(d32) > lists.radius_sq(o as usize) {
-                        stats.f32_rejects += 1;
-                    } else {
-                        survivors.push(o);
-                        survivor_d32.push(d32);
-                    }
-                }
-                stats.f64_confirms += survivors.len() as u64;
-                &survivors
-            } else {
-                &owners
-            };
-            if merge_list.is_empty() {
-                continue;
-            }
-            soa.dist_sq_gather_into(&p, merge_list, &mut dists);
-            if let Some(bound) = bound {
-                // Empirical bound validation: the exact distance can never
-                // fall below the certified f32 lower bound (DESIGN.md §17).
-                // CI gates this counter at zero.
-                for (&d64, &d32) in dists.iter().zip(&survivor_d32) {
-                    if bound.lower_bound(d32) > d64 {
-                        stats.unsafe_margin_hits += 1;
-                    }
-                }
-            }
-            for (&o, &d) in merge_list.iter().zip(&dists) {
+            soa.dist_sq_gather_into(&p, &owners, &mut dists);
+            for (&o, &d) in owners.iter().zip(&dists) {
                 lists.merge_candidate(o as usize, p_id, d);
             }
         }
-        stats
+        eps_skips
     };
-    let stats = if subset.len() >= PAR_SCAN_CUTOFF {
+    let eps_skips = if subset.len() >= PAR_SCAN_CUTOFF {
         subset
             .par_chunks(PAR_SCAN_CUTOFF)
-            .fold(FilterStats::default, |mut acc, chunk| {
-                acc.merge(&process(chunk));
-                acc
-            })
-            .reduce(FilterStats::default, |mut a, b| {
-                a.merge(&b);
-                a
-            })
+            .fold(|| 0, |acc, chunk| acc + process(chunk))
+            .reduce(|| 0, |a, b| a + b)
     } else {
         process(subset)
     };
@@ -261,7 +202,7 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
         .build_cost()
         .then(CostProfile::rounds(height + 1, subset.len() as u64))
         .with_punt();
-    (cost, stats)
+    (cost, eps_skips)
 }
 
 #[cfg(test)]
@@ -346,51 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn query_correction_tiers_agree_and_mixed_reports_stats() {
-        use crate::config::Precision;
-        let subset: Vec<u32> = (0..20).collect();
-        let mut results = Vec::new();
-        let mut stats_by_tier = Vec::new();
-        for precision in [Precision::Exact, Precision::Mixed] {
-            let (points, lists, left, right, sep) = line_fixture(20, 2, 9.5);
-            let mut crossing = Vec::new();
-            for ids in [&left, &right] {
-                let (c, _, _) = collect_crossing(&points, &lists, ids, &sep, 1.0);
-                crossing.extend(c);
-            }
-            let soa = SoaPoints::from_points(&points);
-            let qcfg = QueryTreeConfig {
-                precision,
-                ..QueryTreeConfig::default()
-            };
-            let (_, stats) = correct_via_query::<1, 2>(
-                &soa,
-                &lists,
-                &subset,
-                &crossing,
-                qcfg,
-                7,
-                &RunRecorder::disabled(),
-            );
-            stats_by_tier.push(stats);
-            results.push(lists.into_result());
-        }
-        // Byte-identical lists across tiers.
-        for i in 0..20 {
-            assert_eq!(results[0].neighbors(i), results[1].neighbors(i));
-        }
-        let exact = &stats_by_tier[0];
-        let mixed = &stats_by_tier[1];
-        assert_eq!(exact.f32_rejects, 0);
-        assert_eq!(exact.f64_confirms, 0);
-        // Mixed mode actually exercised the filter and never observed a
-        // violation of the certified bound.
-        assert!(mixed.f32_rejects + mixed.f64_confirms > 0);
-        assert_eq!(mixed.unsafe_margin_hits, 0);
-        assert_eq!(mixed.eps_skips, 0);
-    }
-
-    #[test]
     fn unbounded_owners_are_corrected_exhaustively() {
         // Left side has a single point: its subset ball is unbounded.
         let points: Vec<Point<1>> = (0..10).map(|i| Point::from([i as f64])).collect();
@@ -415,7 +311,7 @@ mod tests {
         let points: Vec<Point<1>> = (0..4).map(|i| Point::from([i as f64])).collect();
         let lists = SharedLists::new(4, 1);
         let soa = SoaPoints::from_points(&points);
-        let (cost, stats) = correct_via_query::<1, 2>(
+        let (cost, eps_skips) = correct_via_query::<1, 2>(
             &soa,
             &lists,
             &[0, 1, 2, 3],
@@ -425,6 +321,6 @@ mod tests {
             &RunRecorder::disabled(),
         );
         assert_eq!(cost, CostProfile::zero());
-        assert_eq!(stats, FilterStats::default());
+        assert_eq!(eps_skips, 0);
     }
 }

@@ -13,7 +13,7 @@
 //! `O(n)`, query `O(log n + m₀)`; parallel construction in `O(log n)`
 //! rounds w.h.p. (Theorem 3.1).
 
-use crate::config::{eps_cover_scale, Precision};
+use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::child_seed;
@@ -22,7 +22,7 @@ use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::soa::{FilterStats, SoaBalls};
+use sepdc_geom::soa::SoaBalls;
 use sepdc_scan::CostProfile;
 use sepdc_separator::{SearchOutcome, SeparatorConfig};
 
@@ -55,12 +55,6 @@ pub struct QueryTreeConfig {
     /// attributed to their caller's `punt-correction` phase, so per-node
     /// instrumentation inside those builds would only add overhead.
     pub record: bool,
-    /// Distance-evaluation tier for the leaf cover scans (DESIGN.md §17).
-    /// [`Precision::Mixed`] (the default) pre-rejects candidates through the
-    /// f32 shadow kernels with a certified lower bound and confirms only
-    /// survivors in f64 — answers stay byte-identical to
-    /// [`Precision::Exact`].
-    pub precision: Precision,
     /// Cover-filter relaxation ε ∈ [0, 1]. When nonzero, leaf scans may
     /// skip balls whose squared radius exceeds the probe distance by less
     /// than a `(1+ε)²` factor; skips are counted in the filter stats so the
@@ -76,7 +70,6 @@ impl Default for QueryTreeConfig {
             splitter: SplitterKind::Random,
             parallel_cutoff: 4096,
             record: false,
-            precision: Precision::default(),
             epsilon: 0.0,
         }
     }
@@ -129,9 +122,6 @@ pub struct QueryTree<const D: usize> {
     /// Which split-decision backend built this tree (round-tripped through
     /// snapshots).
     splitter: SplitterKind,
-    /// Distance tier for leaf cover scans (round-tripped through
-    /// snapshots).
-    precision: Precision,
     /// Cover-filter relaxation ε (round-tripped through snapshots).
     epsilon: f64,
 }
@@ -250,7 +240,6 @@ impl<const D: usize> QueryTree<D> {
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
                 ("splitter".to_string(), cfg.splitter.code() as f64),
-                ("precision".to_string(), cfg.precision.code() as f64),
                 ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
@@ -266,7 +255,6 @@ impl<const D: usize> QueryTree<D> {
             cost: built.cost,
             report,
             splitter: cfg.splitter,
-            precision: cfg.precision,
             epsilon: cfg.epsilon,
         })
     }
@@ -298,14 +286,7 @@ impl<const D: usize> QueryTree<D> {
     pub fn try_covering(&self, p: &Point<D>) -> Result<Vec<u32>, SepdcError> {
         validate_points(std::slice::from_ref(p))?;
         let mut out = Vec::new();
-        self.covering_into(
-            p,
-            false,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut out,
-            &mut FilterStats::default(),
-        );
+        self.covering_into(p, false, &mut Vec::new(), &mut out);
         Ok(out)
     }
 
@@ -314,47 +295,34 @@ impl<const D: usize> QueryTree<D> {
     pub fn try_covering_interior(&self, p: &Point<D>) -> Result<Vec<u32>, SepdcError> {
         validate_points(std::slice::from_ref(p))?;
         let mut out = Vec::new();
-        self.covering_into(
-            p,
-            true,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut out,
-            &mut FilterStats::default(),
-        );
+        self.covering_into(p, true, &mut Vec::new(), &mut out);
         Ok(out)
     }
 
     /// Scratch-reusing cover query: appends to `out` the ids of all balls
     /// containing `p` (open interior when `open`), in leaf order, and
-    /// returns the number of tree nodes visited. The leaf scan runs through
-    /// the tiered [`SoaBalls`] kernel honoring the tree's precision tier
-    /// and ε; `scratch32`/`scratch` are reusable distance buffers so batch
-    /// callers ([`serve`](crate::serve), the punt correction) do no
-    /// per-probe allocation, and `stats` accumulates the `precision.*`
-    /// filter counters.
+    /// returns the number of tree nodes visited plus the number of balls
+    /// the tree's ε relaxation skipped. The leaf scan runs through the
+    /// batched [`SoaBalls`] kernel; `scratch` is a reusable distance
+    /// buffer so batch callers ([`serve`](crate::serve), the punt
+    /// correction) do no per-probe allocation.
     pub(crate) fn covering_into(
         &self,
         p: &Point<D>,
         open: bool,
-        scratch32: &mut Vec<f32>,
         scratch: &mut Vec<f64>,
         out: &mut Vec<u32>,
-        stats: &mut FilterStats,
-    ) -> usize {
+    ) -> (usize, u64) {
         let (leaf, visited) = self.descend_counted(p);
-        self.soa.filter_covering_tiered_into(
+        let eps_skips = self.soa.filter_covering_relaxed_into(
             p,
             leaf,
             open,
-            self.precision.is_mixed(),
             eps_cover_scale(self.epsilon),
-            scratch32,
             scratch,
             out,
-            stats,
         );
-        visited
+        (visited, eps_skips)
     }
 
     /// The leaf list plus the number of tree nodes visited reaching it —
@@ -407,7 +375,6 @@ impl<const D: usize> QueryTree<D> {
         cost: CostProfile,
         seed: u64,
         splitter: SplitterKind,
-        precision: Precision,
         epsilon: f64,
         load_elapsed: std::time::Duration,
     ) -> Self {
@@ -447,7 +414,6 @@ impl<const D: usize> QueryTree<D> {
             cost,
             report,
             splitter,
-            precision,
             epsilon,
         }
     }
@@ -456,12 +422,6 @@ impl<const D: usize> QueryTree<D> {
     /// metadata when the tree came from a snapshot).
     pub fn splitter(&self) -> SplitterKind {
         self.splitter
-    }
-
-    /// The distance-evaluation tier this tree's leaf scans run in
-    /// (restored from metadata when the tree came from a snapshot).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The cover-filter relaxation ε this tree was built with (`0.0` =

@@ -369,29 +369,15 @@ pub fn meter_counters(m: &MeterSnapshot) -> Vec<(String, f64)> {
             "meter.correction_dist_evals".into(),
             m.correction_dist_evals as f64,
         ),
-        ("precision.f32_rejects".into(), m.f32_rejects as f64),
-        ("precision.f64_confirms".into(), m.f64_confirms as f64),
-        (
-            "precision.unsafe_margin_hits".into(),
-            m.unsafe_margin_hits as f64,
-        ),
-        ("precision.eps_skips".into(), m.eps_skips as f64),
+        eps_skips_counter(m.eps_skips),
     ]
 }
 
-/// Counters of a precision-tier filter pass under the `precision.` prefix
-/// — used by algorithms without an event meter (the Section 5 recursion
-/// accumulates a [`sepdc_geom::soa::FilterStats`] directly).
-pub fn precision_counters(s: &sepdc_geom::soa::FilterStats) -> Vec<(String, f64)> {
-    vec![
-        ("precision.f32_rejects".into(), s.f32_rejects as f64),
-        ("precision.f64_confirms".into(), s.f64_confirms as f64),
-        (
-            "precision.unsafe_margin_hits".into(),
-            s.unsafe_margin_hits as f64,
-        ),
-        ("precision.eps_skips".into(), s.eps_skips as f64),
-    ]
+/// The ε-relaxation skip count under its wire name `precision.eps_skips`
+/// — used directly by algorithms without an event meter (the Section 5
+/// recursion and the serve engine count skips themselves).
+pub fn eps_skips_counter(eps_skips: u64) -> (String, f64) {
+    ("precision.eps_skips".into(), eps_skips as f64)
 }
 
 /// Counters of a [`CostProfile`] under the `cost.` prefix.
@@ -568,14 +554,9 @@ impl RunReport {
         if !self.config.is_empty() {
             s.push_str("\nconfig:\n");
             for (name, v) in &self.config {
-                // The precision tier and ε knob echo as raw numbers in the
-                // JSON; spell them out for humans (DESIGN.md §17).
+                // The ε knob echoes as a raw number in the JSON; spell it
+                // out for humans (DESIGN.md §17).
                 match name.as_str() {
-                    "precision" => {
-                        let label = crate::config::Precision::from_code(*v as u64)
-                            .map_or("unknown", |p| p.name());
-                        s.push_str(&format!("  {name:<24} {v} ({label} tier)\n"));
-                    }
                     "epsilon" if *v > 0.0 => {
                         s.push_str(&format!("  {name:<24} {v} ((1+ε)-approximate)\n"));
                     }
@@ -611,31 +592,17 @@ impl RunReport {
             }
         }
         if !self.counters.is_empty() {
-            // The precision-tier and certificate namespaces render as their
-            // own sections; everything else stays in the flat counter list.
-            let is_tiered =
-                |n: &str| n.starts_with("precision.") || n.starts_with("certificate.");
+            // The certificate namespace renders as its own section;
+            // everything else stays in the flat counter list.
             let flat: Vec<_> = self
                 .counters
                 .iter()
-                .filter(|(n, _)| !is_tiered(n))
+                .filter(|(n, _)| !n.starts_with("certificate."))
                 .collect();
             if !flat.is_empty() {
                 s.push_str("\ncounters:\n");
                 for (name, v) in flat {
                     s.push_str(&format!("  {name:<32} {v}\n"));
-                }
-            }
-            let precision: Vec<_> = self
-                .counters
-                .iter()
-                .filter(|(n, _)| n.starts_with("precision."))
-                .collect();
-            if !precision.is_empty() {
-                s.push_str("\nprecision tier (f32 filtering):\n");
-                for (name, v) in precision {
-                    let short = name.trim_start_matches("precision.");
-                    s.push_str(&format!("  {short:<32} {v}\n"));
                 }
             }
             let cert: Vec<_> = self
@@ -1321,24 +1288,23 @@ mod tests {
     }
 
     #[test]
-    fn render_human_groups_precision_and_certificate_sections() {
+    fn render_human_groups_certificate_section() {
         let mut r = sample_report();
-        r.config.push(("precision".to_string(), 1.0));
         r.config.push(("epsilon".to_string(), 0.25));
-        r.counters.push(("precision.f32_rejects".to_string(), 900.0));
-        r.counters.push(("precision.f64_confirms".to_string(), 100.0));
+        r.counters.push(eps_skips_counter(7));
         r.counters
             .push(("certificate.max_rel_error".to_string(), 0.01));
         let text = r.render_human();
-        assert!(text.contains("1 (mixed tier)"), "{text}");
         assert!(text.contains("(1+ε)-approximate"), "{text}");
-        assert!(text.contains("precision tier (f32 filtering):"), "{text}");
-        assert!(text.contains("error certificate (measured vs exact):"), "{text}");
-        // Namespaced counters are pulled out of the flat list and rendered
-        // with the prefix stripped.
-        assert!(!text.contains("  precision.f32_rejects"), "{text}");
-        assert!(text.contains("  f32_rejects"), "{text}");
+        assert!(
+            text.contains("error certificate (measured vs exact):"),
+            "{text}"
+        );
+        // Certificate counters are pulled out of the flat list and
+        // rendered with the prefix stripped; the skip count stays flat.
+        assert!(!text.contains("  certificate.max_rel_error"), "{text}");
         assert!(text.contains("  max_rel_error"), "{text}");
+        assert!(text.contains("  precision.eps_skips"), "{text}");
         // ε = 0 renders as exact.
         let mut r0 = sample_report();
         r0.config.push(("epsilon".to_string(), 0.0));

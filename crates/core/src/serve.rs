@@ -69,9 +69,8 @@ pub use crate::config::ServeConfig;
 use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::query::QueryTree;
-use crate::report::{precision_counters, Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
+use crate::report::{eps_skips_counter, Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
 use sepdc_geom::point::Point;
-use sepdc_geom::soa::FilterStats;
 
 /// Which containment predicate a batch evaluates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,9 +207,9 @@ pub struct ServeStats {
     pub cost_total: u64,
     /// Largest single-probe query cost in the batch.
     pub cost_max: u64,
-    /// Precision-tier filter counters accumulated across every leaf scan
-    /// of the batch (all zero in the exact tier with ε = 0).
-    pub filter: FilterStats,
+    /// Balls the ε-relaxed cover predicate skipped across the batch
+    /// (always zero with ε = 0).
+    pub eps_skips: u64,
 }
 
 impl ServeStats {
@@ -272,30 +271,17 @@ fn serve_chunk<const D: usize>(
     };
     let soa = tree.soa_balls();
     let open = pred == CoverPredicate::Open;
-    // The serving tier is the batch's own knob (a tree built exact can be
-    // served mixed and vice versa); answers are byte-identical either way,
-    // and ε > 0 relaxes the cover predicate per DESIGN.md §17.
-    let mixed = cfg.precision.is_mixed();
+    // ε > 0 relaxes the cover predicate per DESIGN.md §17.
     let eps_scale = eps_cover_scale(cfg.epsilon);
-    // One distance-buffer pair for the whole chunk: the leaf filter runs
+    // One distance buffer for the whole chunk: the leaf filter runs
     // through the blocked SoA kernels, appending hits in leaf order (so the
     // CSR assembly stays byte-identical to the scalar filter).
-    let mut scratch32: Vec<f32> = Vec::new();
     let mut scratch: Vec<f64> = Vec::new();
     for p in chunk {
         let (leaf, visited) = tree.descend_counted(p);
         let before = part.ids.len();
-        soa.filter_covering_tiered_into(
-            p,
-            leaf,
-            open,
-            mixed,
-            eps_scale,
-            &mut scratch32,
-            &mut scratch,
-            &mut part.ids,
-            &mut part.stats.filter,
-        );
+        part.stats.eps_skips +=
+            soa.filter_covering_relaxed_into(p, leaf, open, eps_scale, &mut scratch, &mut part.ids);
         let hits = (part.ids.len() - before) as u64;
         let cost = visited as u64 + leaf.len() as u64;
         part.lens.push(hits as u32);
@@ -367,7 +353,7 @@ fn assemble(parts: Vec<ChunkPart>, probes: usize) -> (BatchResult, ServeStats) {
         stats.chunks += part.stats.chunks;
         stats.cost_total += part.stats.cost_total;
         stats.cost_max = stats.cost_max.max(part.stats.cost_max);
-        stats.filter.merge(&part.stats.filter);
+        stats.eps_skips += part.stats.eps_skips;
     }
     (BatchResult { offsets, ids }, stats)
 }
@@ -417,7 +403,6 @@ impl<const D: usize> QueryTree<D> {
                     f64::from(u8::from(pred == CoverPredicate::Open)),
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
-                ("precision".to_string(), cfg.precision.code() as f64),
                 ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
@@ -430,7 +415,7 @@ impl<const D: usize> QueryTree<D> {
                     ("serve.cost_max".to_string(), stats.cost_max as f64),
                     ("serve.cost_mean".to_string(), stats.mean_cost()),
                 ];
-                counters.extend(precision_counters(&stats.filter));
+                counters.push(eps_skips_counter(stats.eps_skips));
                 counters
             },
             depth: obs.depth_rows(),
@@ -648,47 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_tiers_serve_byte_identical_answers() {
-        use crate::config::Precision;
-        let tree = tree_2d(700, 2, 21);
-        let probes = Workload::Clusters.generate::<2>(1500, 22);
-        for pred in [CoverPredicate::Closed, CoverPredicate::Open] {
-            let exact = tree
-                .try_serve(
-                    &probes,
-                    pred,
-                    &ServeConfig {
-                        precision: Precision::Exact,
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap();
-            let mixed = tree
-                .try_serve(
-                    &probes,
-                    pred,
-                    &ServeConfig {
-                        precision: Precision::Mixed,
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(exact.result, mixed.result, "{pred:?}");
-            // Exact mode never touches the filter counters; mixed mode
-            // exercised them without a certified-bound violation.
-            assert_eq!(exact.stats.filter, FilterStats::default());
-            assert!(mixed.stats.filter.f32_rejects + mixed.stats.filter.f64_confirms > 0);
-            assert_eq!(mixed.stats.filter.unsafe_margin_hits, 0);
-            assert_eq!(mixed.stats.filter.eps_skips, 0);
-            // Counters surface in the report under the precision namespace.
-            assert_eq!(
-                mixed.report.counter("precision.f32_rejects"),
-                Some(mixed.stats.filter.f32_rejects as f64)
-            );
-        }
-    }
-
-    #[test]
     fn epsilon_serving_relaxes_cover_and_counts_skips() {
         let tree = tree_2d(600, 2, 31);
         let probes = Workload::UniformCube.generate::<2>(1200, 32);
@@ -709,7 +653,7 @@ mod tests {
         // dropped hit is counted.
         assert!(relaxed.stats.hits <= exact.stats.hits);
         let dropped = exact.stats.hits - relaxed.stats.hits;
-        assert_eq!(relaxed.stats.filter.eps_skips, dropped);
+        assert_eq!(relaxed.stats.eps_skips, dropped);
         assert!(dropped > 0, "ε = 0.5 should drop marginal covers here");
         for (i, _) in probes.iter().enumerate() {
             let e: std::collections::HashSet<u32> = exact.result.hits(i).iter().copied().collect();

@@ -20,11 +20,9 @@ use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
 use crate::parallel::config_echo;
 use crate::partition_tree::partition_in_place;
-use crate::query::QueryTreeConfig;
-use crate::report::{cost_counters, precision_counters, Phase, RunRecorder, RunReport};
+use crate::report::{cost_counters, eps_skips_counter, Phase, RunRecorder, RunReport};
 use crate::shared::SharedLists;
 use crate::splitter::splitter_for;
-use sepdc_geom::soa::FilterStats;
 use sepdc_geom::point::Point;
 use sepdc_scan::CostProfile;
 
@@ -162,7 +160,7 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     // hands each recursive call a disjoint `&mut` slice — no per-level
     // id-set clones.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let (cost, stats, fstats) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
+    let (cost, stats, eps_skips) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
     let mut counters = vec![
         ("stats.height".to_string(), stats.height as f64),
         (
@@ -192,7 +190,7 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
         ),
     ];
     counters.extend(cost_counters(&cost));
-    counters.extend(precision_counters(&fstats));
+    counters.push(eps_skips_counter(eps_skips));
     let report = RunReport {
         version: crate::report::RUN_REPORT_VERSION,
         algo: "simple".to_string(),
@@ -221,7 +219,7 @@ fn rec<const D: usize, const E: usize>(
     ids: &mut [u32],
     seed: u64,
     depth: usize,
-) -> Result<(CostProfile, SimpleDcStats, FilterStats), SepdcError> {
+) -> Result<(CostProfile, SimpleDcStats, u64), SepdcError> {
     let m = ids.len();
     ctx.obs.node(depth);
     if m <= ctx.base {
@@ -229,7 +227,7 @@ fn rec<const D: usize, const E: usize>(
         return Ok((
             CostProfile::rounds(m as u64, m as u64),
             SimpleDcStats::leaf(false),
-            FilterStats::default(),
+            0,
         ));
     }
     if depth >= ctx.depth_limit {
@@ -244,11 +242,7 @@ fn rec<const D: usize, const E: usize>(
         solve_subset_into(ctx, ids, depth);
         let mut stats = SimpleDcStats::leaf(true);
         stats.depth_forced_leaves = 1;
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            stats,
-            FilterStats::default(),
-        ));
+        return Ok((CostProfile::rounds(m as u64, m as u64), stats, 0));
     }
     let t_split = ctx.obs.start();
     let subset_points: Vec<Point<D>> = ids.iter().map(|&i| ctx.points[i as usize]).collect();
@@ -260,7 +254,7 @@ fn rec<const D: usize, const E: usize>(
         return Ok((
             CostProfile::rounds(m as u64, m as u64),
             SimpleDcStats::leaf(true),
-            FilterStats::default(),
+            0,
         ));
     };
     let nl = partition_in_place(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
@@ -271,11 +265,7 @@ fn rec<const D: usize, const E: usize>(
         solve_subset_into(ctx, ids, depth);
         let mut stats = SimpleDcStats::leaf(true);
         stats.degenerate_splits = 1;
-        return Ok((
-            CostProfile::rounds(m as u64, m as u64),
-            stats,
-            FilterStats::default(),
-        ));
+        return Ok((CostProfile::rounds(m as u64, m as u64), stats, 0));
     }
 
     // Path-derived sibling seeds (see [`crate::seeding`]).
@@ -313,28 +303,28 @@ fn rec<const D: usize, const E: usize>(
     let node_crossing = crossing.len();
     ctx.obs.add_crossing(depth, node_crossing as u64);
     let qseed = crate::seeding::punt_seed(seed);
-    // The top-level precision knob is authoritative even for struct-literal
-    // configs whose `query` sub-config was left untouched; ε stays
-    // `cfg.query.epsilon` because the balls above are already shrunk.
-    let qcfg = QueryTreeConfig {
-        precision: ctx.cfg.precision,
-        ..ctx.cfg.query
-    };
+    // The query tree's ε stays `cfg.query.epsilon` because the balls
+    // above are already shrunk.
     // Every internal node corrects through the query structure here (the
     // Section 5 combine step), so its time lands in the same
     // `punt-correction` phase the Section 6 punt path uses.
-    let (corr_cost, corr_stats) = ctx.obs.time(Phase::PuntCorrection, || {
-        correct_via_query::<D, E>(ctx.soa, ctx.lists, ids, &crossing, qcfg, qseed, ctx.obs)
+    let (corr_cost, corr_skips) = ctx.obs.time(Phase::PuntCorrection, || {
+        correct_via_query::<D, E>(
+            ctx.soa,
+            ctx.lists,
+            ids,
+            &crossing,
+            ctx.cfg.query,
+            qseed,
+            ctx.obs,
+        )
     });
 
     let local = CostProfile::scan(m as u64); // the split
     let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
     let stats = lstats.merge(rstats, node_crossing, m);
-    let mut fstats = lf;
-    fstats.merge(&rf);
-    fstats.merge(&corr_stats);
-    fstats.eps_skips += skips_l + skips_r;
-    Ok((cost, stats, fstats))
+    let eps_skips = lf + rf + corr_skips + skips_l + skips_r;
+    Ok((cost, stats, eps_skips))
 }
 
 fn solve_subset_into<const D: usize>(ctx: &Ctx<'_, D>, ids: &[u32], depth: usize) {

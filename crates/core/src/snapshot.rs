@@ -45,7 +45,6 @@ use crate::error::SepdcError;
 use crate::partition_tree::{PartitionNode, PartitionTree};
 use crate::query::{QNode, QueryTree, QueryTreeConfig, QueryTreeStats};
 use crate::sharded::{ShardedConfig, ShardedIndex};
-use crate::config::Precision;
 use crate::splitter::SplitterKind;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::ball::Ball;
@@ -632,9 +631,9 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         // Appended last so snapshots written before the splitter existed
         // (14-word META) still load: absent ⇒ the Random default.
         tree.splitter().code(),
-        // Optional words 16/17: precision tier and ε (raw f64 bits).
-        // Absent on pre-precision snapshots ⇒ Mixed, ε = 0 (DESIGN.md §17).
-        tree.precision().code(),
+        // Optional words 16/17: a reserved word and ε (raw f64 bits).
+        // Absent on older snapshots ⇒ ε = 0 (DESIGN.md §17).
+        META_RESERVED_WORD,
         tree.epsilon().to_bits(),
     ] {
         put_u64(&mut meta, v);
@@ -727,6 +726,13 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
     )
 }
 
+/// Value written into query-tree `META` word 16. The word once selected a
+/// distance-evaluation tier (`0` or `1`); every tree now evaluates exact
+/// f64 distances, so the writer keeps the `1` older default builds carried
+/// (leaving snapshot bytes unchanged) and the loader accepts either legal
+/// value and ignores it.
+const META_RESERVED_WORD: u64 = 1;
+
 /// Decoded `META` section of a query-tree snapshot.
 struct QueryMeta {
     seed: u64,
@@ -734,7 +740,6 @@ struct QueryMeta {
     stats: QueryTreeStats,
     cost: CostProfile,
     splitter: SplitterKind,
-    precision: Precision,
     epsilon: f64,
 }
 
@@ -770,16 +775,18 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
     } else {
         SplitterKind::Random
     };
-    // Optional words 16/17: precision tier + ε. Snapshots written before
-    // the precision tier stop at 15 words and decode as (Mixed, 0.0) —
-    // the tier is output-invisible, so older trees keep their answers.
-    let precision = if c.remaining() > 0 {
-        let code = c.u64()?;
-        Precision::from_code(code)
-            .ok_or_else(|| corrupt("META", format!("unknown precision code {code}")))?
-    } else {
-        Precision::default()
-    };
+    // Optional words 16/17: reserved word + ε. Snapshots written before
+    // these words stop at 15 and decode with ε = 0. The reserved word is
+    // validated (0 or 1) and otherwise ignored.
+    if c.remaining() > 0 {
+        let word = c.u64()?;
+        if word > 1 {
+            return Err(corrupt(
+                "META",
+                format!("reserved word 16 is {word}, not 0/1"),
+            ));
+        }
+    }
     let epsilon = if c.remaining() > 0 {
         let eps = f64::from_bits(c.u64()?);
         if !eps.is_finite() || !(0.0..=1.0).contains(&eps) {
@@ -796,7 +803,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         stats,
         cost,
         splitter,
-        precision,
         epsilon,
     })
 }
@@ -1024,7 +1030,6 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         meta.cost,
         meta.seed,
         meta.splitter,
-        meta.precision,
         meta.epsilon,
         t0.elapsed(),
     ))
@@ -1660,6 +1665,90 @@ mod tests {
         }
         // Saving the loaded tree reproduces the exact bytes.
         assert_eq!(save_query_tree(&loaded), bytes);
+    }
+
+    /// Rebuild a query-tree snapshot with its `META` body passed through
+    /// `edit`; every other section is copied verbatim and every checksum
+    /// recomputed, so only semantic validation can object.
+    fn with_meta(bytes: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let info = inspect(bytes).unwrap();
+        let sections: Vec<([u8; 4], Vec<u8>)> = info
+            .sections
+            .iter()
+            .map(|s| {
+                let tag: [u8; 4] = s.tag.as_bytes().try_into().unwrap();
+                let mut body = bytes[s.offset as usize..(s.offset + s.len) as usize].to_vec();
+                if &tag == TAG_META {
+                    edit(&mut body);
+                }
+                (tag, body)
+            })
+            .collect();
+        let refs: Vec<(&[u8; 4], Vec<u8>)> = sections.iter().map(|(t, b)| (t, b.clone())).collect();
+        assemble_container(info.kind, info.dim, &refs)
+    }
+
+    /// Closed- and open-predicate answers of `tree` over a fixed probe set.
+    fn served_rows(tree: &QueryTree<2>) -> Vec<(Vec<u64>, Vec<u32>)> {
+        let probes = Workload::Clusters.generate::<2>(300, 11);
+        [CoverPredicate::Closed, CoverPredicate::Open]
+            .into_iter()
+            .map(|pred| {
+                let out = tree
+                    .try_serve(&probes, pred, &ServeConfig::default())
+                    .unwrap();
+                (out.result.offsets().to_vec(), out.result.ids().to_vec())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn default_query_tree_bytes_are_golden() {
+        // FNV-1a of the snapshot of a fixed default build. A change here
+        // means the on-disk format (or the build it records) drifted.
+        let bytes = save_query_tree(&sample_tree(400));
+        assert_eq!(bytes.len(), 14567);
+        assert_eq!(fnv1a64(&bytes), 0x13ad_5ee3_dfcb_e6e7);
+    }
+
+    #[test]
+    fn meta_word_16_is_reserved_but_validated() {
+        let tree = sample_tree(400);
+        let bytes = save_query_tree(&tree);
+        let want = served_rows(&tree);
+        // Word 16 (0-based word 15) is written as 1; both legal values
+        // load and serve identically.
+        let word16 = 15 * 8..16 * 8;
+        let info = inspect(&bytes).unwrap();
+        let meta = info.sections.iter().find(|s| s.tag == "META").unwrap();
+        let at = meta.offset as usize + word16.start;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        assert_eq!(with_meta(&bytes, |_| {}), bytes);
+        let patch = |v: u64| {
+            with_meta(&bytes, |m| {
+                m[word16.clone()].copy_from_slice(&v.to_le_bytes())
+            })
+        };
+        for v in [0u64, 1] {
+            let loaded = load_query_tree::<2>(&patch(v)).unwrap();
+            assert_eq!(served_rows(&loaded), want, "word 16 = {v}");
+        }
+        // Any other value is a typed corruption of META.
+        match load_query_tree::<2>(&patch(2)).map(drop) {
+            Err(SepdcError::Snapshot(SnapshotError::Corrupt { tag: "META", .. })) => {}
+            other => panic!("word 16 = 2: expected Corrupt(META), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fifteen_word_meta_still_loads() {
+        let tree = sample_tree(400);
+        let bytes = save_query_tree(&tree);
+        let short = with_meta(&bytes, |m| m.truncate(15 * 8));
+        let loaded = load_query_tree::<2>(&short).unwrap();
+        assert_eq!(loaded.epsilon(), 0.0);
+        assert_eq!(loaded.splitter(), tree.splitter());
+        assert_eq!(served_rows(&loaded), served_rows(&tree));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! # Bitwise parity contract
 //!
-//! Every **f64** kernel in this module is **bit-for-bit identical** to the
+//! Every kernel in this module is **bit-for-bit identical** to the
 //! scalar reference `q.dist_sq(&p)` whenever the distance is a number. The
 //! reference accumulates `acc += (q[d] - p[d])^2` in ascending-dimension
 //! order; the blocked kernels keep one accumulator lane per candidate and
@@ -32,23 +32,6 @@
 //! differently in separately compiled loops. The parity proptests in
 //! `tests/proptest_soa_kernels.rs` pin down exactly this contract,
 //! including raw-bit non-finite inputs.
-//!
-//! # Mixed-precision filtering tier
-//!
-//! Every arena additionally carries **f32 shadow columns** (converted once
-//! at construction) and blocked f32 analogues of the gather/range kernels —
-//! half the memory bandwidth on the candidate-filtering passes, which the
-//! dist-evals counters identify as the remaining cost center. The f32
-//! kernels are *filters*, never answers: [`F32Bound`] turns an f32 squared
-//! distance into a **certified lower bound** on the exact f64 kernel value,
-//! so a candidate may be rejected in f32 only when even that lower bound
-//! already exceeds the pruning threshold; every survivor is confirmed by
-//! the exact f64 kernel. Under that discipline the mixed tier's output is
-//! byte-identical to the exact tier's — the soundness proptests in
-//! `tests/precision.rs` adversarially search for a violation (including
-//! subnormal, huge, and near-threshold inputs) and the per-site parity
-//! suites pin the end-to-end equality. See DESIGN.md §17 for the error
-//! model behind the bound.
 
 use crate::aabb::Aabb;
 use crate::ball::Ball;
@@ -60,104 +43,6 @@ use crate::point::Point;
 /// blocks stop paying once the accumulator array spills.
 pub const BLOCK: usize = 8;
 
-/// Unit roundoff of `f32` (`2^-24`): half an ulp of relative error per
-/// rounded single-precision operation. Every term of the [`F32Bound`]
-/// error model scales with this constant.
-const F32_UNIT: f64 = 5.960_464_477_539_063e-8; // 2^-24
-
-/// Absolute floor added to every [`F32Bound`] slack: covers the
-/// *absolute* (non-relative) rounding errors of f32 subnormal arithmetic,
-/// whose per-operation error is bounded by `2^-150` rather than
-/// `u * |x|`. `2^-120` dominates the `O(D) * 2^-149`-scale residue with
-/// >2^20 headroom while staying ~30 orders of magnitude below any
-/// distance a real workload produces, so it costs no filtering power.
-const SLACK_FLOOR: f64 = 7.523_163_845_262_640e-37; // 2^-120
-
-/// Certified lower-bound transform for f32 squared distances.
-///
-/// For an arena and query whose coordinates all have magnitude `<= M`,
-/// the standard floating-point error model bounds the difference between
-/// the f32 kernel's squared distance `d32` and the exact f64 kernel's
-/// `d64` by a relative term (accumulation rounding, `O(D) * 2^-24`) plus
-/// an absolute term (cancellation in the coordinate subtraction,
-/// `O(D) * 2^-24 * M^2`). [`F32Bound::lower_bound`] folds both in with
-/// 4x constant headroom:
-///
-/// ```text
-/// lb(d32) = d32 * (1 - alpha) - beta   <=   d64
-///     alpha = 8 (D + 2) u,   beta = 64 (D + 1) u M^2 + 2^-120,   u = 2^-24
-/// ```
-///
-/// so `lb(d32) > T` certifies `d64 > T` for any threshold `T` — the safe
-/// f32 reject. Non-finite `d32` (overflowed or NaN-poisoned lanes) maps
-/// to `-inf`: never rejected, always confirmed in f64.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct F32Bound {
-    /// Multiplicative deflation `1 - alpha`.
-    scale: f64,
-    /// Absolute slack `beta`, subtracted after scaling.
-    slack: f64,
-}
-
-impl F32Bound {
-    /// Bound for `dim`-dimensional distances between coordinates of
-    /// magnitude at most `max_abs` (query and candidates combined).
-    /// `max_abs` may be infinite (the slack becomes infinite and the
-    /// bound never rejects — still sound).
-    pub fn for_magnitude(dim: usize, max_abs: f64) -> Self {
-        let d = dim as f64;
-        F32Bound {
-            scale: 1.0 - 8.0 * (d + 2.0) * F32_UNIT,
-            slack: 64.0 * (d + 1.0) * F32_UNIT * max_abs * max_abs + SLACK_FLOOR,
-        }
-    }
-
-    /// Certified lower bound on the exact f64 squared distance whose f32
-    /// shadow evaluated to `d32`. Rejecting a candidate is safe exactly
-    /// when this bound (strictly) exceeds the pruning threshold.
-    #[inline]
-    pub fn lower_bound(&self, d32: f32) -> f64 {
-        let d = d32 as f64;
-        if d.is_finite() {
-            d * self.scale - self.slack
-        } else {
-            f64::NEG_INFINITY
-        }
-    }
-}
-
-/// Counters from one tiered cover-filter or candidate-filter pass,
-/// accumulated by the caller into the run-level `precision.*` namespace.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Candidates rejected by the certified f32 lower bound (no f64
-    /// distance was evaluated for these).
-    pub f32_rejects: u64,
-    /// Candidates that survived the f32 filter and were confirmed by an
-    /// exact f64 evaluation (whether or not the predicate then admitted
-    /// them).
-    pub f64_confirms: u64,
-    /// Survivors whose exact f64 distance fell *strictly below* the
-    /// certified f32 lower bound (`lb > d64`) — an empirical violation of
-    /// the error analysis (DESIGN.md §17) that would have made the f32
-    /// reject unsound. Checked on every confirmed candidate; always zero
-    /// when the bound is correct, and CI gates it at zero.
-    pub unsafe_margin_hits: u64,
-    /// Candidates the (1+ε)-relaxed predicate skipped even though the
-    /// exact predicate admits them — the certificate's skip count.
-    pub eps_skips: u64,
-}
-
-impl FilterStats {
-    /// Accumulate another pass's counters into this one.
-    pub fn merge(&mut self, other: &FilterStats) {
-        self.f32_rejects += other.f32_rejects;
-        self.f64_confirms += other.f64_confirms;
-        self.unsafe_margin_hits += other.unsafe_margin_hits;
-        self.eps_skips += other.eps_skips;
-    }
-}
-
 /// Per-dimension contiguous coordinate columns for a point set.
 ///
 /// Built once from the input (same index space as the `&[Point<D>]` it came
@@ -168,33 +53,10 @@ impl FilterStats {
 pub struct SoaPoints<const D: usize> {
     /// `cols[d][i]` is coordinate `d` of point `i`.
     cols: [Vec<f64>; D],
-    /// f32 shadow of `cols` (round-to-nearest conversion, done once here):
-    /// the mixed-precision filter kernels read these instead of `cols`.
-    cols32: [Vec<f32>; D],
-    /// Largest |coordinate| in the arena (NaNs ignored), cached for
-    /// [`SoaPoints::f32_bound`].
-    max_abs: f64,
     len: usize,
 }
 
 impl<const D: usize> SoaPoints<D> {
-    fn finish(cols: [Vec<f64>; D], len: usize) -> Self {
-        let cols32: [Vec<f32>; D] =
-            std::array::from_fn(|d| cols[d].iter().map(|&c| c as f32).collect());
-        // `f64::max` ignores a NaN operand, so NaN coordinates (possible
-        // only through unvalidated internal paths) don't poison the bound.
-        let max_abs = cols
-            .iter()
-            .flat_map(|c| c.iter())
-            .fold(0.0f64, |m, &c| m.max(c.abs()));
-        SoaPoints {
-            cols,
-            cols32,
-            max_abs,
-            len,
-        }
-    }
-
     /// Transpose a point slice into per-dimension columns.
     pub fn from_points(points: &[Point<D>]) -> Self {
         let mut cols: [Vec<f64>; D] = std::array::from_fn(|_| Vec::with_capacity(points.len()));
@@ -203,7 +65,10 @@ impl<const D: usize> SoaPoints<D> {
                 col.push(p.0[d]);
             }
         }
-        Self::finish(cols, points.len())
+        SoaPoints {
+            cols,
+            len: points.len(),
+        }
     }
 
     /// Rebuild the arena from per-dimension columns (already columnar —
@@ -218,24 +83,13 @@ impl<const D: usize> SoaPoints<D> {
             cols.iter().all(|c| c.len() == len),
             "SoaPoints::from_columns: ragged columns"
         );
-        Self::finish(cols, len)
+        SoaPoints { cols, len }
     }
 
     /// Borrow coordinate column `d` (`col(d)[i]` is coordinate `d` of
     /// point `i`) — the flat array serialization code writes to disk.
     pub fn col(&self, d: usize) -> &[f64] {
         &self.cols[d]
-    }
-
-    /// Borrow the f32 shadow of coordinate column `d`.
-    pub fn col32(&self, d: usize) -> &[f32] {
-        &self.cols32[d]
-    }
-
-    /// Largest coordinate magnitude in the arena (0 when empty; NaN
-    /// coordinates are ignored, infinite ones propagate).
-    pub fn max_abs(&self) -> f64 {
-        self.max_abs
     }
 
     /// Number of points.
@@ -251,16 +105,6 @@ impl<const D: usize> SoaPoints<D> {
     /// Re-materialize point `i` (cold paths only; hot paths stay columnar).
     pub fn point(&self, i: usize) -> Point<D> {
         Point(std::array::from_fn(|d| self.cols[d][i]))
-    }
-
-    /// Certified f32 lower-bound transform for distances from `q` into
-    /// this arena: combines the cached arena magnitude with the query's.
-    pub fn f32_bound(&self, q: &Point<D>) -> F32Bound {
-        let mut m = self.max_abs;
-        for d in 0..D {
-            m = m.max(q.0[d].abs());
-        }
-        F32Bound::for_magnitude(D, m)
     }
 
     /// Scalar tail kernel: squared distance from `q` to point `i`.
@@ -337,88 +181,6 @@ impl<const D: usize> SoaPoints<D> {
         }
         for (j, o) in out.iter_mut().enumerate().skip(blocks * BLOCK) {
             *o = self.dist_sq_to(q, start + j);
-        }
-    }
-
-    /// f32 scalar tail kernel: squared distance from the f32 shadow of `q`
-    /// to shadow point `i`. Filter-tier only — pair with
-    /// [`SoaPoints::f32_bound`] before acting on the value.
-    #[inline]
-    pub fn dist_sq_f32_to(&self, q32: &[f32; D], i: usize) -> f32 {
-        let mut acc = 0.0f32;
-        for d in 0..D {
-            let diff = q32[d] - self.cols32[d][i];
-            acc += diff * diff;
-        }
-        acc
-    }
-
-    /// Convert a query point to its f32 shadow (one rounding per
-    /// coordinate, done once per gather/range call).
-    #[inline]
-    pub fn q32(q: &Point<D>) -> [f32; D] {
-        std::array::from_fn(|d| q.0[d] as f32)
-    }
-
-    /// f32 gather kernel: shadow of [`SoaPoints::dist_sq_gather`], reading
-    /// the f32 columns (half the bandwidth). Same blocked shape.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != ids.len()` or any id is out of range.
-    pub fn dist_sq_f32_gather(&self, q: &Point<D>, ids: &[u32], out: &mut [f32]) {
-        assert_eq!(ids.len(), out.len(), "f32 gather kernel length mismatch");
-        let q32 = Self::q32(q);
-        let blocks = ids.len() / BLOCK;
-        for b in 0..blocks {
-            let base = b * BLOCK;
-            let idv = &ids[base..base + BLOCK];
-            let mut acc = [0.0f32; BLOCK];
-            for d in 0..D {
-                let col = &self.cols32[d];
-                let qd = q32[d];
-                for j in 0..BLOCK {
-                    let diff = qd - col[idv[j] as usize];
-                    acc[j] += diff * diff;
-                }
-            }
-            out[base..base + BLOCK].copy_from_slice(&acc);
-        }
-        for j in blocks * BLOCK..ids.len() {
-            out[j] = self.dist_sq_f32_to(&q32, ids[j] as usize);
-        }
-    }
-
-    /// f32 gather kernel with a reusable `Vec` destination.
-    pub fn dist_sq_f32_gather_into(&self, q: &Point<D>, ids: &[u32], out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(ids.len(), 0.0);
-        self.dist_sq_f32_gather(q, ids, out);
-    }
-
-    /// f32 contiguous kernel: shadow of [`SoaPoints::dist_sq_range`].
-    ///
-    /// # Panics
-    /// Panics when `start + out.len()` exceeds the arena.
-    pub fn dist_sq_f32_range(&self, q: &Point<D>, start: usize, out: &mut [f32]) {
-        let n = out.len();
-        assert!(start + n <= self.len, "f32 range kernel out of bounds");
-        let q32 = Self::q32(q);
-        let blocks = n / BLOCK;
-        for b in 0..blocks {
-            let base = b * BLOCK;
-            let mut acc = [0.0f32; BLOCK];
-            for d in 0..D {
-                let col = &self.cols32[d][start + base..start + base + BLOCK];
-                let qd = q32[d];
-                for j in 0..BLOCK {
-                    let diff = qd - col[j];
-                    acc[j] += diff * diff;
-                }
-            }
-            out[base..base + BLOCK].copy_from_slice(&acc);
-        }
-        for (j, o) in out.iter_mut().enumerate().skip(blocks * BLOCK) {
-            *o = self.dist_sq_f32_to(&q32, start + j);
         }
     }
 
@@ -527,85 +289,42 @@ impl<const D: usize> SoaBalls<D> {
         }
     }
 
-    /// Precision-tiered cover test. Same admitted set and order as
-    /// [`SoaBalls::filter_covering_into`] whenever `eps_scale == 1.0`
-    /// (the soundness contract), for both values of `mixed`:
-    ///
-    /// * `mixed = false`: exact f64 gather, ε-scaled threshold compare.
-    /// * `mixed = true`: f32 shadow gather first; a ball is rejected
-    ///   without any f64 work when the certified lower bound on the probe
-    ///   distance already clears its **unscaled** squared radius;
-    ///   survivors are confirmed by the exact scalar kernel against the
-    ///   ε-scaled threshold. (Filtering against the unscaled radius keeps
-    ///   the ε skip count exact in mixed mode.)
+    /// ε-relaxed cover test. Same admitted set and order as
+    /// [`SoaBalls::filter_covering_into`] when `eps_scale == 1.0`.
     ///
     /// `eps_scale` is `1 / (1+ε)^2`: the relaxed predicate admits only
-    /// `dist_sq <= r^2 * eps_scale`, and each ball the exact predicate
-    /// admits but the relaxed one skips increments `stats.eps_skips`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn filter_covering_tiered_into(
+    /// `dist_sq <= r^2 * eps_scale`. Returns the number of balls the exact
+    /// predicate admits but the relaxed one skips (the certificate's skip
+    /// count; always 0 at `eps_scale == 1.0`).
+    pub fn filter_covering_relaxed_into(
         &self,
         p: &Point<D>,
         ids: &[u32],
         open: bool,
-        mixed: bool,
         eps_scale: f64,
-        scratch32: &mut Vec<f32>,
         scratch: &mut Vec<f64>,
         out: &mut Vec<u32>,
-        stats: &mut FilterStats,
-    ) {
+    ) -> u64 {
         let relaxed = eps_scale < 1.0;
-        if !mixed {
-            if !relaxed {
-                // Pure exact tier: the byte-contract fast path.
-                self.filter_covering_into(p, ids, open, scratch, out);
-                return;
-            }
-            self.centers.dist_sq_gather_into(p, ids, scratch);
-            for (j, &i) in ids.iter().enumerate() {
-                let r2 = self.radius_sq[i as usize];
-                let t = r2 * eps_scale;
-                let d = scratch[j];
-                let admit = if open { d < t } else { d <= t };
-                if admit {
-                    out.push(i);
-                } else if if open { d < r2 } else { d <= r2 } {
-                    stats.eps_skips += 1;
-                }
-            }
-            return;
+        if !relaxed {
+            // Exact predicate: the byte-contract fast path.
+            self.filter_covering_into(p, ids, open, scratch, out);
+            return 0;
         }
-        self.centers.dist_sq_f32_gather_into(p, ids, scratch32);
-        let bound = self.centers.f32_bound(p);
+        let mut eps_skips = 0;
+        self.centers.dist_sq_gather_into(p, ids, scratch);
         for (j, &i) in ids.iter().enumerate() {
             let r2 = self.radius_sq[i as usize];
-            let d32 = scratch32[j];
-            let lb = bound.lower_bound(d32);
-            // Safe reject against the unscaled radius: `lb > r2` implies
-            // the exact distance exceeds r2 (closed predicate cannot
-            // admit); for the open predicate `lb >= r2` suffices.
-            if if open { lb >= r2 } else { lb > r2 } {
-                stats.f32_rejects += 1;
-                continue;
-            }
-            let d = self.centers.dist_sq_to(p, i as usize);
-            stats.f64_confirms += 1;
-            // Empirical bound validation on every confirm: the exact
-            // distance can never fall below the certified lower bound.
-            // A hit here means the DESIGN.md §17 analysis is violated
-            // and the f32 reject above would have been unsound.
-            if lb > d {
-                stats.unsafe_margin_hits += 1;
-            }
-            let t = if relaxed { r2 * eps_scale } else { r2 };
+            let t = r2 * eps_scale;
+            let d = scratch[j];
             let admit = if open { d < t } else { d <= t };
             if admit {
                 out.push(i);
-            } else if relaxed && if open { d < r2 } else { d <= r2 } {
-                stats.eps_skips += 1;
+            } else if if open { d < r2 } else { d <= r2 } {
+                eps_skips += 1;
             }
         }
+        eps_skips
     }
 }
 
@@ -721,162 +440,52 @@ mod tests {
         assert_eq!(bb.hi, want.hi);
     }
 
-    // ---- mixed-precision tier -------------------------------------------
-
-    #[test]
-    fn f32_kernels_match_scalar_f32_bitwise() {
-        // The f32 kernels have their own parity contract against the
-        // scalar f32 tail (same shape as the f64 contract): blocked and
-        // tail lanes agree bit for bit.
-        let pts = pts_3d(BLOCK * 3 + 5);
-        let soa = SoaPoints::from_points(&pts);
-        let q = Point::from([0.3, -2.25, 5.0]);
-        let q32 = SoaPoints::q32(&q);
-        let mut ids: Vec<u32> = (0..pts.len() as u32).rev().collect();
-        ids.extend(0..pts.len() as u32); // duplicates are legal
-        let mut out = vec![0.0f32; ids.len()];
-        soa.dist_sq_f32_gather(&q, &ids, &mut out);
-        for (j, &i) in ids.iter().enumerate() {
-            assert_eq!(
-                out[j].to_bits(),
-                soa.dist_sq_f32_to(&q32, i as usize).to_bits(),
-                "gather id {i}"
-            );
-        }
-        for start in 0..pts.len() {
-            let mut out = vec![0.0f32; pts.len() - start];
-            soa.dist_sq_f32_range(&q, start, &mut out);
-            for (j, &d) in out.iter().enumerate() {
-                assert_eq!(
-                    d.to_bits(),
-                    soa.dist_sq_f32_to(&q32, start + j).to_bits(),
-                    "range start {start} j {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_exact_distance() {
-        // Deterministic sweep over wildly mixed magnitudes, including
-        // subnormals and near-cancellation pairs; the adversarial search
-        // lives in tests/precision.rs.
-        let mut pts = pts_3d(40);
-        pts.push(Point::from([1e-40, -3e-39, 2.2e-308])); // subnormal-ish
-        pts.push(Point::from([1e18, -1e18, 5e17])); // huge
-        pts.push(Point::from([1.0 + 1e-15, 1.0, 1.0])); // near-cancellation
-        pts.push(Point::from([0.0, -0.0, 0.0]));
-        let soa = SoaPoints::from_points(&pts);
-        for q in [
-            Point::from([1.0, 1.0, 1.0]),
-            Point::from([1e18, -1e18, 5e17]),
-            Point::from([1e-40, 0.0, 0.0]),
-            Point::from([-7.25, 3.5, 6.0]),
-        ] {
-            let bound = soa.f32_bound(&q);
-            let ids: Vec<u32> = (0..pts.len() as u32).collect();
-            let mut d32 = Vec::new();
-            soa.dist_sq_f32_gather_into(&q, &ids, &mut d32);
-            for (j, &i) in ids.iter().enumerate() {
-                let lb = bound.lower_bound(d32[j]);
-                let exact = soa.dist_sq_to(&q, i as usize);
-                assert!(
-                    lb <= exact,
-                    "unsafe bound: lb {lb} > exact {exact} (id {i}, d32 {})",
-                    d32[j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_is_selective_at_workload_scale() {
-        // The bound must actually reject: at unit scale a candidate 2x
-        // beyond the threshold radius has lb well above it.
-        let bound = F32Bound::for_magnitude(3, 1.0);
-        let d32 = 4.0e-2f32; // candidate at distance 0.2
-        let threshold = 1.0e-2; // radius 0.1
-        assert!(bound.lower_bound(d32) > threshold);
-    }
-
-    #[test]
-    fn non_finite_f32_distances_are_never_rejected() {
-        let bound = F32Bound::for_magnitude(2, 1e200);
-        assert_eq!(bound.lower_bound(f32::INFINITY), f64::NEG_INFINITY);
-        assert_eq!(bound.lower_bound(f32::NAN), f64::NEG_INFINITY);
-        // Infinite magnitude -> infinite slack -> nothing rejects.
-        let inf = F32Bound::for_magnitude(2, f64::INFINITY);
-        assert_eq!(inf.lower_bound(1.0), f64::NEG_INFINITY);
-    }
-
-    /// Tiered filter fixture shared by the edge-case tests below: checks
-    /// that both tiers reproduce `filter_covering_into` exactly at
-    /// `eps_scale = 1.0`, for both predicates, and returns the mixed-tier
-    /// stats of the closed pass.
-    fn assert_tiers_match(balls: &SoaBalls<3>, probe: &Point<3>) -> FilterStats {
+    /// Checks that the relaxed filter at `eps_scale = 1.0` reproduces
+    /// `filter_covering_into` exactly, for both predicates.
+    fn assert_relaxed_matches_exact(balls: &SoaBalls<3>, probe: &Point<3>) {
         let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        let (mut s32, mut s64) = (Vec::new(), Vec::new());
-        let mut closed_stats = FilterStats::default();
+        let mut scratch = Vec::new();
         for open in [false, true] {
-            let mut want = Vec::new();
-            balls.filter_covering_into(probe, &ids, open, &mut s64, &mut want);
-            for mixed in [false, true] {
-                let mut got = Vec::new();
-                let mut stats = FilterStats::default();
-                balls.filter_covering_tiered_into(
-                    probe, &ids, open, mixed, 1.0, &mut s32, &mut s64, &mut got, &mut stats,
-                );
-                assert_eq!(got, want, "open={open} mixed={mixed}");
-                assert_eq!(stats.eps_skips, 0, "open={open} mixed={mixed}");
-                if mixed && !open {
-                    closed_stats = stats;
-                }
-            }
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            balls.filter_covering_into(probe, &ids, open, &mut scratch, &mut want);
+            let skips =
+                balls.filter_covering_relaxed_into(probe, &ids, open, 1.0, &mut scratch, &mut got);
+            assert_eq!(got, want, "open={open}");
+            assert_eq!(skips, 0, "open={open}");
         }
-        closed_stats
     }
 
     #[test]
-    fn tiered_filter_zero_radius_balls() {
+    fn relaxed_filter_zero_radius_balls() {
         // Zero-radius balls: closed admits only exact center hits, open
         // admits nothing. Probe coincident with one center.
         let centers = pts_3d(12);
         let probe = centers[5];
         let balls: Vec<Ball<3>> = centers.iter().map(|c| Ball::new(*c, 0.0)).collect();
         let soa = SoaBalls::from_balls(&balls);
-        let stats = assert_tiers_match(&soa, &probe);
-        // The coincident ball survives the f32 filter (d32 = 0, lb < 0)
-        // and is confirmed in f64.
-        assert!(stats.f64_confirms >= 1, "{stats:?}");
+        assert_relaxed_matches_exact(&soa, &probe);
         let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        let (mut s32, mut s64, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        let mut st = FilterStats::default();
-        soa.filter_covering_tiered_into(
-            &probe, &ids, false, true, 1.0, &mut s32, &mut s64, &mut out, &mut st,
-        );
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        soa.filter_covering_relaxed_into(&probe, &ids, false, 1.0, &mut scratch, &mut out);
         assert!(out.contains(&5));
         out.clear();
-        soa.filter_covering_tiered_into(
-            &probe, &ids, true, true, 1.0, &mut s32, &mut s64, &mut out, &mut st,
-        );
+        soa.filter_covering_relaxed_into(&probe, &ids, true, 1.0, &mut scratch, &mut out);
         assert!(out.is_empty(), "open predicate admits no zero-radius ball");
     }
 
     #[test]
-    fn tiered_filter_coincident_center_and_probe() {
+    fn relaxed_filter_coincident_center_and_probe() {
         // Every ball centered exactly on the probe: closed and open both
         // admit all positive radii; only closed admits the r = 0 ball.
         let probe = Point::from([0.125, -3.5, 7.0]);
         let balls: Vec<Ball<3>> = (0..10).map(|i| Ball::new(probe, i as f64)).collect();
         let soa = SoaBalls::from_balls(&balls);
-        assert_tiers_match(&soa, &probe);
+        assert_relaxed_matches_exact(&soa, &probe);
     }
 
     #[test]
-    fn tiered_filter_subnormal_radii() {
-        // Subnormal radii square to zero or subnormal-squared f64 values;
-        // the SLACK_FLOOR keeps every f32 reject sound here (the bound
-        // simply refuses to reject at these magnitudes).
+    fn relaxed_filter_subnormal_radii() {
+        // Subnormal radii square to zero or subnormal f64 values.
         let tiny = f64::MIN_POSITIVE / 4.0; // subnormal
         let centers = [
             Point::from([0.0, 0.0, 0.0]),
@@ -891,14 +500,14 @@ mod tests {
             .map(|(i, c)| Ball::new(*c, if i == 3 { 2.0 } else { tiny }))
             .collect();
         let soa = SoaBalls::from_balls(&balls);
-        assert_tiers_match(&soa, &probe);
+        assert_relaxed_matches_exact(&soa, &probe);
     }
 
     #[test]
-    fn tiered_filter_counts_eps_skips_exactly() {
+    fn relaxed_filter_counts_eps_skips_exactly() {
         // Probe at distance 0.9r from each center: with eps_scale shrunk
         // below (0.9)^2 the relaxed predicate must skip, and the skip is
-        // counted in both tiers.
+        // counted.
         let balls: Vec<Ball<3>> = (0..6)
             .map(|i| Ball::new(Point::from([i as f64 * 10.0, 0.0, 0.0]), 1.0))
             .collect();
@@ -906,40 +515,16 @@ mod tests {
         let probe = Point::from([0.9, 0.0, 0.0]); // inside ball 0 only
         let ids: Vec<u32> = (0..balls.len() as u32).collect();
         let eps_scale = 0.5; // relaxed threshold r^2/2 < 0.81
-        for mixed in [false, true] {
-            let (mut s32, mut s64, mut out) = (Vec::new(), Vec::new(), Vec::new());
-            let mut stats = FilterStats::default();
-            soa.filter_covering_tiered_into(
-                &probe, &ids, false, mixed, eps_scale, &mut s32, &mut s64, &mut out, &mut stats,
-            );
-            assert!(out.is_empty(), "mixed={mixed}: relaxed filter must skip");
-            assert_eq!(stats.eps_skips, 1, "mixed={mixed}");
-        }
-    }
-
-    #[test]
-    fn filter_stats_merge_accumulates() {
-        let mut a = FilterStats {
-            f32_rejects: 1,
-            f64_confirms: 2,
-            unsafe_margin_hits: 3,
-            eps_skips: 4,
-        };
-        let b = FilterStats {
-            f32_rejects: 10,
-            f64_confirms: 20,
-            unsafe_margin_hits: 30,
-            eps_skips: 40,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            FilterStats {
-                f32_rejects: 11,
-                f64_confirms: 22,
-                unsafe_margin_hits: 33,
-                eps_skips: 44,
-            }
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        let skips = soa.filter_covering_relaxed_into(
+            &probe,
+            &ids,
+            false,
+            eps_scale,
+            &mut scratch,
+            &mut out,
         );
+        assert!(out.is_empty(), "relaxed filter must skip");
+        assert_eq!(skips, 1);
     }
 }

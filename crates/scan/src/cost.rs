@@ -122,9 +122,6 @@ pub struct CostMeter {
     punt_candidates: AtomicU64,
     distance_evals: AtomicU64,
     correction_dist_evals: AtomicU64,
-    f32_rejects: AtomicU64,
-    f64_confirms: AtomicU64,
-    unsafe_margin_hits: AtomicU64,
     eps_skips: AtomicU64,
 }
 
@@ -153,15 +150,6 @@ pub struct MeterSnapshot {
     /// Distance evaluations spent on Fast-Correction candidates (a subset
     /// of [`MeterSnapshot::distance_evals`]).
     pub correction_dist_evals: u64,
-    /// Candidates rejected by the certified f32 lower bound without an f64
-    /// confirmation (the mixed precision tier's savings).
-    pub f32_rejects: u64,
-    /// f32-filter survivors confirmed in f64.
-    pub f64_confirms: u64,
-    /// Confirmed survivors whose exact f64 distance fell below the
-    /// certified f32 lower bound — observed violations of the error
-    /// analysis, always zero when the bound is sound.
-    pub unsafe_margin_hits: u64,
     /// Candidates skipped by the ε-relaxed predicates (zero in exact mode).
     pub eps_skips: u64,
 }
@@ -223,23 +211,9 @@ impl CostMeter {
         self.correction_dist_evals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one batch of precision-tier filter outcomes: `f32_rejects`
-    /// certified rejects, `f64_confirms` survivors confirmed exactly,
-    /// `unsafe_margin_hits` observed certified-bound violations (always
-    /// zero when the error analysis holds), `eps_skips` ε-relaxation
-    /// skips.
-    pub fn add_precision(
-        &self,
-        f32_rejects: u64,
-        f64_confirms: u64,
-        unsafe_margin_hits: u64,
-        eps_skips: u64,
-    ) {
-        self.f32_rejects.fetch_add(f32_rejects, Ordering::Relaxed);
-        self.f64_confirms.fetch_add(f64_confirms, Ordering::Relaxed);
-        self.unsafe_margin_hits
-            .fetch_add(unsafe_margin_hits, Ordering::Relaxed);
-        self.eps_skips.fetch_add(eps_skips, Ordering::Relaxed);
+    /// Record `n` candidates skipped by the ε-relaxed predicates.
+    pub fn add_eps_skips(&self, n: u64) {
+        self.eps_skips.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Copy out all counters.
@@ -255,9 +229,6 @@ impl CostMeter {
             punt_candidates: self.punt_candidates.load(Ordering::Relaxed),
             distance_evals: self.distance_evals.load(Ordering::Relaxed),
             correction_dist_evals: self.correction_dist_evals.load(Ordering::Relaxed),
-            f32_rejects: self.f32_rejects.load(Ordering::Relaxed),
-            f64_confirms: self.f64_confirms.load(Ordering::Relaxed),
-            unsafe_margin_hits: self.unsafe_margin_hits.load(Ordering::Relaxed),
             eps_skips: self.eps_skips.load(Ordering::Relaxed),
         }
     }
@@ -337,15 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn meter_precision_counters_accumulate() {
+    fn meter_eps_skips_accumulate() {
         let meter = CostMeter::new();
-        meter.add_precision(10, 3, 1, 0);
-        meter.add_precision(5, 0, 0, 7);
-        let snap = meter.snapshot();
-        assert_eq!(snap.f32_rejects, 15);
-        assert_eq!(snap.f64_confirms, 3);
-        assert_eq!(snap.unsafe_margin_hits, 1);
-        assert_eq!(snap.eps_skips, 7);
+        meter.add_eps_skips(0);
+        meter.add_eps_skips(7);
+        assert_eq!(meter.snapshot().eps_skips, 7);
     }
 
     #[test]

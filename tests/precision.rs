@@ -1,44 +1,24 @@
-//! Soundness, parity, and certificate tests for the mixed-precision
-//! filtering tier and the opt-in (1+ε)-approximation mode.
+//! Oracle and certificate tests for the exact distance path and the
+//! opt-in (1+ε)-approximation mode.
 //!
-//! Three contracts are pinned here (DESIGN.md §17):
+//! Two contracts are pinned here (DESIGN.md §17):
 //!
-//! 1. **Bound soundness.** The certified f32 lower bound can never exceed
-//!    the exact f64 distance: `lb(d32) ≤ d64` for every candidate whose
-//!    exact distance is a number — including subnormal, huge, and
-//!    raw-bit-pattern coordinates. This is the property that makes an f32
-//!    reject safe; it is fuzzed adversarially, not just sampled.
-//! 2. **Tier parity.** With ε = 0, the mixed tier returns byte-identical
-//!    answers to the exact tier on every algorithm that carries the tier
-//!    (§6 parallel, §5 simple, kd-tree baseline), and the
-//!    `unsafe_margin_hits` counter (observed bound violations) stays zero.
-//! 3. **ε certificate.** With ε > 0 the answers may drift, but the drift
+//! 1. **Oracle parity.** With ε = 0, every all-k-NN algorithm (§6
+//!    parallel, §5 simple, kd-tree baseline) returns answers
+//!    byte-identical to the brute-force oracle, in 2-D and 3-D, and batch
+//!    serving returns exactly the balls a scalar scan says cover a probe —
+//!    including probes that sit on a ball's boundary.
+//! 2. **ε certificate.** With ε > 0 the answers may drift, but the drift
 //!    measured against the brute-force oracle stays within the certificate
 //!    bound: per-rank relative distance error ≤ ε and no short lists.
 
 use proptest::prelude::*;
+use sepdc::core::serve::{CoverPredicate, ServeConfig};
 use sepdc::core::{
-    brute_force_knn, parallel_knn, simple_parallel_knn, try_kdtree_all_knn_with, KnnDcConfig,
-    KnnResult, Precision,
+    brute_force_knn, kdtree_all_knn, parallel_knn, simple_parallel_knn, try_kdtree_all_knn,
+    KnnDcConfig, KnnResult, NeighborhoodSystem, QueryTree, QueryTreeConfig,
 };
-use sepdc::geom::point::Point;
-use sepdc::geom::soa::{FilterStats, SoaPoints};
 use sepdc::workloads::Workload;
-
-/// Coordinates as raw bit patterns: mostly finite grid values, with a
-/// tail of special values and fully random bits (same idiom as
-/// `proptest_soa_kernels.rs`; the vendored proptest has no `prop_oneof`).
-fn raw_coord() -> impl Strategy<Value = f64> {
-    (0u32..12, any::<u64>()).prop_map(|(sel, bits)| match sel {
-        0..=5 => ((bits % 32) as f64 - 16.0) * 0.5, // coarse grid
-        6 => f64::NAN,
-        7 => f64::INFINITY,
-        8 => f64::NEG_INFINITY,
-        9 => -0.0,
-        10 => f64::MIN_POSITIVE / 2.0, // subnormal
-        _ => f64::from_bits(bits),     // arbitrary raw bits
-    })
-}
 
 /// A total, bit-exact fingerprint of one answer set.
 fn fingerprint(knn: &KnnResult) -> Vec<Vec<(u64, u32)>> {
@@ -55,75 +35,10 @@ fn fingerprint(knn: &KnnResult) -> Vec<Vec<(u64, u32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Adversarial bound soundness: for arbitrary raw-bit coordinates the
-    /// certified lower bound never exceeds the exact distance whenever the
-    /// exact distance is comparable (non-NaN). NaN/overflowed f32 lanes
-    /// must map to `-inf` (never reject).
+    /// Oracle parity, end to end: the §6 recursion, the §5 recursion,
+    /// and the kd baseline each agree bit-for-bit with brute force.
     #[test]
-    fn f32_lower_bound_is_sound_on_raw_bits(
-        vals in proptest::collection::vec(raw_coord(), 3..96),
-        q_vals in proptest::collection::vec(raw_coord(), 3..4),
-    ) {
-        let n = vals.len() / 3;
-        let pts: Vec<Point<3>> = (0..n)
-            .map(|i| Point::from([vals[3 * i], vals[3 * i + 1], vals[3 * i + 2]]))
-            .collect();
-        let q = Point::from([q_vals[0], q_vals[1], q_vals[2]]);
-        let soa = SoaPoints::from_points(&pts);
-        let bound = soa.f32_bound(&q);
-
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let mut d32s = vec![0.0f32; n];
-        soa.dist_sq_f32_gather(&q, &ids, &mut d32s);
-        for (i, &d32) in d32s.iter().enumerate() {
-            let d64 = q.dist_sq(&pts[i]);
-            let lb = bound.lower_bound(d32);
-            if !d32.is_finite() {
-                prop_assert_eq!(lb, f64::NEG_INFINITY, "non-finite d32 must never reject");
-            }
-            if !d64.is_nan() {
-                prop_assert!(
-                    lb <= d64,
-                    "bound violated at {}: lb {} > d64 {} (d32 {})",
-                    i, lb, d64, d32
-                );
-            }
-        }
-    }
-
-    /// Subnormal regime: coordinates so small that their squares flush to
-    /// zero in f32. The SLACK_FLOOR term must keep the bound sound (lb ≤ 0
-    /// is required since d32 = 0 carries no information).
-    #[test]
-    fn f32_lower_bound_is_sound_on_subnormals(
-        scales in proptest::collection::vec(0u32..40, 2..48),
-        q_scale in 0u32..40,
-    ) {
-        let tiny = |s: u32| f64::MIN_POSITIVE * (s as f64 + 0.5) / 8.0;
-        let pts: Vec<Point<2>> = scales
-            .iter()
-            .map(|&s| Point::from([tiny(s), -tiny(s / 2 + 1)]))
-            .collect();
-        let q = Point::from([tiny(q_scale), tiny(q_scale + 1)]);
-        let soa = SoaPoints::from_points(&pts);
-        let bound = soa.f32_bound(&q);
-        let ids: Vec<u32> = (0..pts.len() as u32).collect();
-        let mut d32s = vec![0.0f32; pts.len()];
-        soa.dist_sq_f32_gather(&q, &ids, &mut d32s);
-        for (i, &d32) in d32s.iter().enumerate() {
-            let d64 = q.dist_sq(&pts[i]);
-            prop_assert!(
-                bound.lower_bound(d32) <= d64,
-                "subnormal bound violated at {i}"
-            );
-        }
-    }
-
-    /// Tier parity, end to end: exact and mixed agree bit-for-bit on the
-    /// §6 recursion, the §5 recursion, and the kd baseline, and no bound
-    /// violation is ever observed.
-    #[test]
-    fn tiers_are_byte_identical_end_to_end(
+    fn all_algorithms_match_oracle_end_to_end(
         selector in 0u32..4,
         n in 60usize..220,
         seed in 0u64..1 << 40,
@@ -136,31 +51,46 @@ proptest! {
         };
         let points = w.generate::<2>(n, seed);
         let k = 3;
-        let exact_cfg = KnnDcConfig::new(k).with_seed(seed).with_precision(Precision::Exact);
-        let mixed_cfg = KnnDcConfig::new(k).with_seed(seed).with_precision(Precision::Mixed);
+        let cfg = KnnDcConfig::new(k).with_seed(seed);
+        let oracle = fingerprint(&brute_force_knn(&points, k));
 
-        let e6 = parallel_knn::<2, 3>(&points, &exact_cfg);
-        let m6 = parallel_knn::<2, 3>(&points, &mixed_cfg);
-        prop_assert_eq!(fingerprint(&e6.knn), fingerprint(&m6.knn), "§6 tier drift");
-        prop_assert_eq!(m6.meter.unsafe_margin_hits, 0, "§6 bound violation");
+        let s6 = parallel_knn::<2, 3>(&points, &cfg);
+        prop_assert_eq!(fingerprint(&s6.knn), oracle.clone(), "§6 vs oracle");
 
-        let e5 = simple_parallel_knn::<2, 3>(&points, &exact_cfg);
-        let m5 = simple_parallel_knn::<2, 3>(&points, &mixed_cfg);
-        prop_assert_eq!(fingerprint(&e5.knn), fingerprint(&m5.knn), "§5 tier drift");
+        let s5 = simple_parallel_knn::<2, 3>(&points, &cfg);
+        prop_assert_eq!(fingerprint(&s5.knn), oracle.clone(), "§5 vs oracle");
 
-        let (ek, es) = try_kdtree_all_knn_with(&points, k, Precision::Exact).unwrap();
-        let (mk, ms) = try_kdtree_all_knn_with(&points, k, Precision::Mixed).unwrap();
-        prop_assert_eq!(fingerprint(&ek), fingerprint(&mk), "kd tier drift");
-        prop_assert_eq!(es, FilterStats::default(), "exact kd touched the filter");
-        prop_assert_eq!(ms.unsafe_margin_hits, 0, "kd bound violation");
+        let kd = try_kdtree_all_knn(&points, k).unwrap();
+        prop_assert_eq!(fingerprint(&kd), oracle, "kd vs oracle");
+    }
 
-        // The exact §6/§5 paths also equal the oracle (existing contract),
-        // so tier parity transitively pins mixed == brute force.
-        prop_assert_eq!(
-            fingerprint(&e6.knn),
-            fingerprint(&brute_force_knn(&points, k)),
-            "§6 exact vs oracle"
-        );
+    /// Oracle parity in 3-D: the gather and range kernels run with a third
+    /// coordinate column, and every algorithm still matches brute force.
+    #[test]
+    fn all_algorithms_match_oracle_in_3d(
+        selector in 0u32..4,
+        n in 60usize..180,
+        seed in 0u64..1 << 40,
+    ) {
+        let w = match selector % 4 {
+            0 => Workload::UniformBall,
+            1 => Workload::Clusters,
+            2 => Workload::TwoSlabs,
+            _ => Workload::Grid,
+        };
+        let points = w.generate::<3>(n, seed);
+        let k = 4;
+        let cfg = KnnDcConfig::new(k).with_seed(seed);
+        let oracle = fingerprint(&brute_force_knn(&points, k));
+
+        let s6 = parallel_knn::<3, 4>(&points, &cfg);
+        prop_assert_eq!(fingerprint(&s6.knn), oracle.clone(), "§6 vs oracle");
+
+        let s5 = simple_parallel_knn::<3, 4>(&points, &cfg);
+        prop_assert_eq!(fingerprint(&s5.knn), oracle.clone(), "§5 vs oracle");
+
+        let kd = try_kdtree_all_knn(&points, k).unwrap();
+        prop_assert_eq!(fingerprint(&kd), oracle, "kd vs oracle");
     }
 
     /// ε certificate: the approximate answers drift within the certified
@@ -193,6 +123,48 @@ proptest! {
         prop_assert_eq!(clean.max_rel_error, 0.0);
         prop_assert_eq!(clean.mismatched_entries, 0);
         prop_assert_eq!(clean.short_ranks, 0);
+    }
+}
+
+/// Serving at ε = 0 is an exact cover query: for both predicates, the
+/// hits of every probe are exactly the balls whose scalar
+/// `contains`/`contains_interior` test accepts it. The data points are
+/// among the probes, so each k-NN ball has its k-th neighbour on (or
+/// within rounding of) its boundary — the case where closed and open
+/// differ and any inexact filter would show.
+#[test]
+fn serving_matches_scalar_cover_scan_on_boundaries() {
+    let k = 3;
+    for (w, seed) in [(Workload::Clusters, 31u64), (Workload::Grid, 32)] {
+        let points = w.generate::<2>(400, seed);
+        let sys = NeighborhoodSystem::from_knn(&points, &kdtree_all_knn(&points, k));
+        let balls = sys.balls();
+        let tree = QueryTree::build::<3>(balls, QueryTreeConfig::default(), seed);
+        let mut probes = points.clone();
+        probes.extend(Workload::UniformCube.generate::<2>(200, seed + 100));
+
+        let mut totals = Vec::new();
+        for pred in [CoverPredicate::Closed, CoverPredicate::Open] {
+            let out = tree
+                .try_serve(&probes, pred, &ServeConfig::default())
+                .unwrap();
+            totals.push(out.result.total_hits());
+            assert_eq!(out.stats.eps_skips, 0, "{:?}: ε = 0 skipped a ball", w);
+            for (i, p) in probes.iter().enumerate() {
+                let mut got = out.result.hits(i).to_vec();
+                got.sort_unstable();
+                let want: Vec<u32> = (0..balls.len() as u32)
+                    .filter(|&b| match pred {
+                        CoverPredicate::Closed => balls[b as usize].contains(p),
+                        CoverPredicate::Open => balls[b as usize].contains_interior(p),
+                    })
+                    .collect();
+                assert_eq!(got, want, "{:?}, {} predicate, probe {i}", w, pred.name());
+            }
+        }
+        // Some probe sat exactly on a boundary, so the sweep really did
+        // separate the closed predicate from the open one.
+        assert!(totals[0] > totals[1], "{:?}: no boundary probe", w);
     }
 }
 
