@@ -76,11 +76,6 @@ pub struct KnnCommandOutput {
 }
 
 /// `knn`: compute the k-NN graph of a point file with a chosen algorithm.
-///
-/// `epsilon > 0` opts into `(1+ε)`-
-/// approximate correction for the `parallel`/`simple` algorithms; the exact
-/// run is then computed alongside and the *measured* error certificate is
-/// appended to the report (`certificate.*` counters) and the summary.
 pub fn knn(
     input: &str,
     dim_flag: Option<usize>,
@@ -88,7 +83,6 @@ pub fn knn(
     algo: &str,
     seed: u64,
     splitter: SplitterKind,
-    epsilon: f64,
 ) -> CliResult<KnnCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     fn run<const D: usize, const E: usize>(
@@ -97,7 +91,6 @@ pub fn knn(
         algo: &str,
         seed: u64,
         splitter: SplitterKind,
-        epsilon: f64,
     ) -> CliResult<KnnCommandOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
@@ -105,44 +98,18 @@ pub fn knn(
             // point file at the CLI boundary is a user mistake.
             return Err(SepdcError::EmptyInput.to_string());
         }
-        if epsilon > 0.0 && !matches!(algo, "parallel" | "simple") {
-            return Err(format!(
-                "--epsilon requires the parallel or simple algorithm (got '{algo}')"
-            ));
-        }
-        let cfg = KnnDcConfig::new(k)
-            .with_seed(seed)
-            .with_splitter(splitter)
-            .with_epsilon(epsilon);
+        let cfg = KnnDcConfig::new(k).with_seed(seed).with_splitter(splitter);
         let t0 = std::time::Instant::now();
-        // Appends the measured ε error certificate (vs a fresh exact run)
-        // to the summary and report of an approximate run.
-        let certify = |knn: &KnnResult,
-                       exact: Result<KnnResult, SepdcError>,
-                       extra: &mut String,
-                       report: &mut RunReport|
-         -> Result<(), SepdcError> {
-            let cert = knn.error_certificate(&exact?);
-            extra.push_str(&format!(
-                ", ε-certificate: max rel err {:.3e} (mean {:.3e}, {} of {} ranks differ)",
-                cert.max_rel_error,
-                cert.mean_rel_error(),
-                cert.mismatched_entries,
-                cert.compared_entries,
-            ));
-            report.counters.extend(cert.counters());
-            Ok(())
-        };
         // All algorithms run through their `try_*` variants: NaN-poisoned
         // files, `k = 0`, and any other invalid input surface as the typed
         // error's message instead of a panic.
         let run: Result<(KnnResult, String, Option<String>), SepdcError> = match algo {
-            "parallel" => try_parallel_knn::<D, E>(&points, &cfg).and_then(|out| {
+            "parallel" => try_parallel_knn::<D, E>(&points, &cfg).map(|out| {
                 // Every fallback path is surfaced here: silent forced
                 // leaves or degenerate splits are exactly the conditions
                 // that erode the separator guarantees, so hiding them from
                 // the summary would mask a degraded run.
-                let mut extra = format!(
+                let extra = format!(
                     ", depth {} rounds, {} fast / {} punts ({} threshold, {} marching), \
                      {} forced leaves ({} degenerate splits, {} depth-capped), \
                      {} march steps ({} pruned), {} correction dist evals",
@@ -158,29 +125,17 @@ pub fn knn(
                     out.meter.march_pruned,
                     out.meter.correction_dist_evals,
                 );
-                let mut report = out.report;
-                if epsilon > 0.0 {
-                    let exact =
-                        try_parallel_knn::<D, E>(&points, &cfg.with_epsilon(0.0)).map(|o| o.knn);
-                    certify(&out.knn, exact, &mut extra, &mut report)?;
-                }
-                Ok((out.knn, extra, Some(report.to_json())))
+                (out.knn, extra, Some(out.report.to_json()))
             }),
-            "simple" => try_simple_parallel_knn::<D, E>(&points, &cfg).and_then(|out| {
-                let mut extra = format!(
+            "simple" => try_simple_parallel_knn::<D, E>(&points, &cfg).map(|out| {
+                let extra = format!(
                     ", depth {} rounds, {} forced leaves ({} degenerate splits, {} depth-capped)",
                     out.cost.depth,
                     out.stats.forced_leaves,
                     out.stats.degenerate_splits,
                     out.stats.depth_forced_leaves,
                 );
-                let mut report = out.report;
-                if epsilon > 0.0 {
-                    let exact = try_simple_parallel_knn::<D, E>(&points, &cfg.with_epsilon(0.0))
-                        .map(|o| o.knn);
-                    certify(&out.knn, exact, &mut extra, &mut report)?;
-                }
-                Ok((out.knn, extra, Some(report.to_json())))
+                (out.knn, extra, Some(out.report.to_json()))
             }),
             "kdtree" => try_kdtree_all_knn(&points, k).map(|r| (r, String::new(), None)),
             "brute" => try_brute_force_knn(&points, k).map(|r| (r, String::new(), None)),
@@ -211,7 +166,7 @@ pub fn knn(
             report_json,
         })
     }
-    with_dim!(dim, run(input, k, algo, seed, splitter, epsilon))
+    with_dim!(dim, run(input, k, algo, seed, splitter))
 }
 
 /// Output of the `query` command.
@@ -245,7 +200,6 @@ pub fn query(
     seed: u64,
     chunk: usize,
     splitter: SplitterKind,
-    epsilon: f64,
 ) -> CliResult<QueryCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     let probe_w = workload_by_name(probe_workload)?;
@@ -260,7 +214,6 @@ pub fn query(
         seed: u64,
         chunk: usize,
         splitter: SplitterKind,
-        epsilon: f64,
     ) -> CliResult<QueryCommandOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
@@ -288,7 +241,6 @@ pub fn query(
         let cfg = ServeConfig {
             chunk_size: chunk,
             record: true,
-            epsilon,
             ..ServeConfig::default()
         };
         let out = tree
@@ -334,8 +286,7 @@ pub fn query(
             interior,
             seed,
             chunk,
-            splitter,
-            epsilon
+            splitter
         )
     )
 }
@@ -361,7 +312,6 @@ pub struct IndexBuildOutput {
 /// [`ShardedIndex`] (snapshot kind 3) instead: same balls, same global
 /// ids (the input row order), but the served daemon additionally accepts
 /// `insert`/`delete` lines.
-#[allow(clippy::too_many_arguments)]
 pub fn index_build(
     input: &str,
     dim_flag: Option<usize>,
@@ -369,7 +319,6 @@ pub fn index_build(
     seed: u64,
     sharded: Option<usize>,
     splitter: SplitterKind,
-    epsilon: f64,
 ) -> CliResult<IndexBuildOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     fn run<const D: usize, const E: usize>(
@@ -378,17 +327,13 @@ pub fn index_build(
         seed: u64,
         sharded: Option<usize>,
         splitter: SplitterKind,
-        epsilon: f64,
     ) -> CliResult<IndexBuildOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
             return Err(SepdcError::EmptyInput.to_string());
         }
-        // ε rides in the snapshot META (word 17), so a daemon loading
-        // this index serves with the same relaxation.
         let tree_cfg = QueryTreeConfig {
             splitter,
-            epsilon,
             ..QueryTreeConfig::default()
         };
         let t0 = std::time::Instant::now();
@@ -431,7 +376,7 @@ pub fn index_build(
         );
         Ok(IndexBuildOutput { snapshot, summary })
     }
-    with_dim!(dim, run(input, k, seed, sharded, splitter, epsilon))
+    with_dim!(dim, run(input, k, seed, sharded, splitter))
 }
 
 /// `index inspect`: print a snapshot's header and section table, then
@@ -461,7 +406,7 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                 let s = tree.stats();
                 Ok(format!(
                     "query-tree: {} balls, height {}, {} leaves, {} internals, \
-                     {} stored refs, seed {}, splitter {} (ε = {}); \
+                     {} stored refs, seed {}, splitter {}; \
                      loaded + validated in {:.1} ms\n",
                     tree.len(),
                     s.height,
@@ -470,7 +415,6 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                     s.stored_balls,
                     tree.run_report().seed,
                     tree.splitter().name(),
-                    tree.epsilon(),
                     t0.elapsed().as_secs_f64() * 1e3,
                 ))
             }
@@ -598,11 +542,11 @@ mod tests {
     #[test]
     fn generate_then_knn_roundtrip() {
         let pts = generate("uniform-cube", 200, 2, 7).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random).unwrap();
         assert!(out.summary.contains("200 points (d=2)"));
         assert!(out.edges_csv.lines().count() > 200);
         // Same input through the oracle gives the same edge count.
-        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random, 0.0).unwrap();
+        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random).unwrap();
         assert_eq!(
             out.edges_csv.lines().count(),
             oracle.edges_csv.lines().count()
@@ -614,7 +558,7 @@ mod tests {
         let pts = generate("clusters", 150, 3, 3).unwrap();
         let mut counts = Vec::new();
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random, 0.0).unwrap();
+            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random).unwrap();
             counts.push(out.edges_csv.lines().count());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -623,7 +567,7 @@ mod tests {
     #[test]
     fn dimension_sniffing() {
         let pts = generate("uniform-cube", 50, 4, 1).unwrap();
-        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random).unwrap();
         assert!(out.summary.contains("(d=4)"));
     }
 
@@ -633,7 +577,7 @@ mod tests {
             .unwrap_err()
             .contains("available"));
         let pts = generate("grid", 30, 2, 1).unwrap();
-        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random, 0.0).is_err());
+        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random).is_err());
     }
 
     #[test]
@@ -664,7 +608,7 @@ mod tests {
         // Satellite fix: degenerate splits, depth-capped leaves, and punt
         // counters used to be computed and then dropped on the floor.
         let pts = generate("uniform-cube", 400, 2, 9).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random).unwrap();
         for needle in [
             "fast",
             "punts",
@@ -679,16 +623,16 @@ mod tests {
         ] {
             assert!(out.summary.contains(needle), "{}", out.summary);
         }
-        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random, 0.0).unwrap();
+        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random).unwrap();
         for needle in ["forced leaves", "degenerate splits", "depth-capped"] {
             assert!(simple.summary.contains(needle), "{}", simple.summary);
         }
         // The brute/kdtree paths have no instrumented recursion.
-        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random, 0.0)
+        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random)
             .unwrap()
             .report_json
             .is_none());
-        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.0)
+        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random)
             .unwrap()
             .report_json
             .is_none());
@@ -698,7 +642,7 @@ mod tests {
     fn knn_report_json_is_a_valid_run_report() {
         let pts = generate("clusters", 300, 3, 2).unwrap();
         for (algo, name) in [("parallel", "parallel"), ("simple", "simple")] {
-            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random, 0.0).unwrap();
+            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random).unwrap();
             let json = out.report_json.as_deref().expect(algo);
             let rep = RunReport::from_json(json).unwrap();
             assert_eq!(rep.algo, name);
@@ -724,7 +668,6 @@ mod tests {
             11,
             32,
             SplitterKind::Random,
-            0.0,
         )
         .unwrap();
         assert!(out.summary.contains("served 100 probes"), "{}", out.summary);
@@ -752,7 +695,6 @@ mod tests {
             5,
             7,
             SplitterKind::Random,
-            0.0,
         )
         .unwrap();
         assert!(out.summary.contains("open predicate"), "{}", out.summary);
@@ -796,7 +738,6 @@ mod tests {
             1,
             8,
             SplitterKind::Random,
-            0.0,
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
@@ -812,7 +753,6 @@ mod tests {
             1,
             0,
             SplitterKind::Random,
-            0.0,
         )
         .unwrap_err();
         assert!(err.contains("serve.chunk_size"), "{err}");
@@ -821,7 +761,7 @@ mod tests {
     #[test]
     fn report_pretty_printer_round_trip() {
         let pts = generate("uniform-cube", 250, 2, 4).unwrap();
-        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random, 0.0).unwrap();
+        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random).unwrap();
         let rendered = report(out.report_json.as_deref().unwrap()).unwrap();
         assert!(rendered.contains("run report v1"), "{rendered}");
         assert!(rendered.contains("phase timings"), "{rendered}");
@@ -837,58 +777,11 @@ mod tests {
         let pts = generate("grid", 20, 2, 1).unwrap();
         // `k = 0` and empty inputs map to the typed SepdcError messages.
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random, 0.0).unwrap_err();
+            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random).unwrap_err();
             assert!(err.contains("invalid k = 0"), "{algo}: {err}");
         }
-        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random, 0.0).unwrap_err();
+        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random).unwrap_err();
         assert!(err.contains("empty"), "{err}");
-    }
-
-    #[test]
-    fn knn_epsilon_certifies() {
-        let pts = generate("uniform-cube", 300, 2, 13).unwrap();
-        // ε > 0 runs the exact algorithm alongside and reports a measured
-        // certificate in the summary and the report counters.
-        let eps = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random, 0.25).unwrap();
-        assert!(eps.summary.contains("ε-certificate"), "{}", eps.summary);
-        let rep = RunReport::from_json(eps.report_json.as_deref().unwrap()).unwrap();
-        let max_err = rep.counter("certificate.max_rel_error").unwrap();
-        assert!((0.0..=0.25).contains(&max_err), "max rel err {max_err}");
-        assert_eq!(rep.counter("epsilon"), None, "epsilon echoes in config");
-        assert!(rep.config.iter().any(|(n, v)| n == "epsilon" && *v == 0.25));
-        // ε is a correction-path knob: algorithms without one reject it.
-        let err = knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random, 0.1).unwrap_err();
-        assert!(err.contains("--epsilon requires"), "{err}");
-    }
-
-    #[test]
-    fn query_epsilon_serves_relaxed_predicate() {
-        let pts = generate("uniform-cube", 250, 2, 17).unwrap();
-        let serve = |eps: f64| {
-            query(
-                &pts,
-                None,
-                2,
-                None,
-                "uniform-cube",
-                80,
-                false,
-                7,
-                64,
-                SplitterKind::Random,
-                eps,
-            )
-            .unwrap()
-        };
-        let exact = serve(0.0);
-        let relaxed = serve(0.5);
-        let rep = RunReport::from_json(&relaxed.report_json).unwrap();
-        assert!(rep.config.iter().any(|(n, v)| n == "epsilon" && *v == 0.5));
-        let skips = rep.counter("precision.eps_skips").unwrap();
-        let exact_rep = RunReport::from_json(&exact.report_json).unwrap();
-        let dropped = exact_rep.counter("serve.hits").unwrap() - rep.counter("serve.hits").unwrap();
-        assert_eq!(skips, dropped, "every dropped hit is counted");
-        assert!(exact_rep.counter("precision.eps_skips").unwrap() == 0.0);
     }
 
     #[test]
@@ -896,7 +789,7 @@ mod tests {
         // NaN/inf coordinates are stopped at parse time with a line number,
         // so the algorithms only ever see finite points from the CLI.
         for poisoned in ["0.5,0.5\nNaN,0.25\n", "0.5,0.5\n0.25,inf\n"] {
-            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random, 0.0).unwrap_err();
+            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random).unwrap_err();
             assert!(err.contains("non-finite"), "{err}");
             assert!(err.contains("line 2"), "{err}");
         }

@@ -595,7 +595,7 @@ mod tests {
         let pts = commands::generate("uniform-cube", 400, 2, 3).unwrap();
         let probes = commands::generate("clusters", 120, 2, 9).unwrap();
         let built =
-            commands::index_build(&pts, Some(2), 2, 5, staging, SplitterKind::Random, 0.0).unwrap();
+            commands::index_build(&pts, Some(2), 2, 5, staging, SplitterKind::Random).unwrap();
         let snap = dir.join("index.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let q = commands::query(
@@ -609,7 +609,6 @@ mod tests {
             5,
             1024,
             SplitterKind::Random,
-            0.0,
         )
         .unwrap();
         let rows: Vec<String> = q
@@ -676,7 +675,7 @@ mod tests {
         // A second, different snapshot to swap in.
         let pts2 = commands::generate("grid", 200, 2, 21).unwrap();
         let built2 =
-            commands::index_build(&pts2, Some(2), 2, 5, None, SplitterKind::Random, 0.0).unwrap();
+            commands::index_build(&pts2, Some(2), 2, 5, None, SplitterKind::Random).unwrap();
         let snap2 = dir.join("index2.snap");
         std::fs::write(&snap2, &built2.snapshot).unwrap();
         // A corrupt file the swap must reject while the old index serves on.
@@ -720,7 +719,7 @@ mod tests {
         let (snap, _, _) = fixture(&dir);
         let pts3 = commands::generate("uniform-cube", 100, 3, 4).unwrap();
         let built3 =
-            commands::index_build(&pts3, Some(3), 2, 5, None, SplitterKind::Random, 0.0).unwrap();
+            commands::index_build(&pts3, Some(3), 2, 5, None, SplitterKind::Random).unwrap();
         let snap3 = dir.join("index3.snap");
         std::fs::write(&snap3, &built3.snapshot).unwrap();
         let input = format!("swap {}\nstats\n", snap3.display());
@@ -864,7 +863,7 @@ mod tests {
         // couple of inserts force a carry (shard rebuild) mid-session.
         let pts = commands::generate("uniform-cube", 40, 2, 3).unwrap();
         let built =
-            commands::index_build(&pts, Some(2), 1, 5, Some(4), SplitterKind::Random, 0.0).unwrap();
+            commands::index_build(&pts, Some(2), 1, 5, Some(4), SplitterKind::Random).unwrap();
         let snap = dir.join("tiny.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let input = "insert 9,9,0.5\ninsert 9.1,9.1,0.5\ninsert 9.2,9.2,0.5\n\

@@ -30,22 +30,37 @@ fn unknown_command_fails_with_message() {
 
 #[test]
 fn precision_flag_is_rejected() {
-    // Exact f64 is the only distance path; the old tier flag is unknown.
+    // Exact f64 distances and exact answers are the only contract; the old
+    // tier and (1+ε) flags are unknown on every command that took them.
     let dir = tmpdir("precision_flag");
     let pts = dir.join("pts.csv");
     std::fs::write(&pts, "0.0,0.0\n1.0,0.0\n0.0,1.0\n").unwrap();
-    let flag = "precision";
-    let out = bin()
-        .args(["knn", "--input", pts.to_str().unwrap()])
-        .args([format!("--{flag}").as_str(), "mixed"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&format!("unknown flags: {flag}")),
-        "{stderr}"
-    );
+    let snap = dir.join("index.snap");
+    let cases: [(&[&str], &str, &str); 4] = [
+        (&["knn"], "precision", "mixed"),
+        (&["knn"], "epsilon", "0.25"),
+        (&["query"], "epsilon", "0.5"),
+        (
+            &["index", "build", "--out", snap.to_str().unwrap()],
+            "epsilon",
+            "0.25",
+        ),
+    ];
+    for (cmd, flag, value) in cases {
+        let out = bin()
+            .args(cmd)
+            .args(["--input", pts.to_str().unwrap()])
+            .args([format!("--{flag}").as_str(), value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd:?} --{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flags: {flag}")),
+            "{cmd:?}: {stderr}"
+        );
+    }
+    assert!(!snap.exists(), "a rejected build must not write a snapshot");
 }
 
 #[test]

@@ -5,21 +5,6 @@ use crate::query::QueryTreeConfig;
 use crate::splitter::SplitterKind;
 use sepdc_separator::SeparatorConfig;
 
-/// Radius multiplier `1 / (1+ε)` applied to crossing-ball radii in
-/// ε-approximate mode. Exactly `1.0` when `ε = 0`, so the exact path's
-/// arithmetic is untouched (multiplying a radius by 1.0 is an IEEE-754
-/// identity).
-pub fn eps_radius_scale(epsilon: f64) -> f64 {
-    1.0 / (1.0 + epsilon)
-}
-
-/// Squared-threshold multiplier `1 / (1+ε)²` applied to cover-filter
-/// radii in ε-approximate mode. Exactly `1.0` when `ε = 0`.
-pub fn eps_cover_scale(epsilon: f64) -> f64 {
-    let s = 1.0 + epsilon;
-    1.0 / (s * s)
-}
-
 /// Shared configuration of the Section 5 and Section 6 algorithms.
 #[derive(Clone, Copy, Debug)]
 pub struct KnnDcConfig {
@@ -54,14 +39,6 @@ pub struct KnnDcConfig {
     /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
     /// paper's engine, byte-identical to the pre-trait implementation.
     pub splitter: SplitterKind,
-    /// Approximation slack ε ≥ 0 for the opt-in `(1+ε)`-approximate mode:
-    /// crossing-ball radii are shrunk by `1/(1+ε)` before correction, so
-    /// every reported k-th neighbor distance is at most `(1+ε)` times the
-    /// exact one (certificate measured, never assumed — see
-    /// [`KnnResult::error_certificate`](crate::KnnResult::error_certificate)).
-    /// `0.0` (the default) is exact mode and leaves the arithmetic
-    /// untouched.
-    pub epsilon: f64,
     /// Query-structure configuration for the punt path.
     pub query: QueryTreeConfig,
     /// Subtree size below which recursion stops forking rayon tasks.
@@ -108,13 +85,6 @@ pub struct ServeConfig {
     /// Defaults to `false`: a high-throughput read path should not pay
     /// two clock reads per chunk unless asked to explain itself.
     pub record: bool,
-    /// Approximation slack ε ≥ 0 for relaxed covering: a probe is
-    /// reported covered only when `dist_sq <= r² / (1+ε)²`, and each ball
-    /// the exact predicate admits but the relaxed one skips is counted in
-    /// `precision.eps_skips`. `0.0` (the default) is the exact predicate.
-    /// Nonzero ε is the one serve knob that *does* change answers — it is
-    /// opt-in and certificate-counted.
-    pub epsilon: f64,
 }
 
 impl Default for ServeConfig {
@@ -123,7 +93,6 @@ impl Default for ServeConfig {
             chunk_size: 1024,
             parallel_threshold: 1024,
             record: false,
-            epsilon: 0.0,
         }
     }
 }
@@ -135,12 +104,6 @@ impl ServeConfig {
             return Err(SepdcError::InvalidConfig {
                 param: "serve.chunk_size",
                 value: 0.0,
-            });
-        }
-        if !self.epsilon.is_finite() || !(0.0..=1.0).contains(&self.epsilon) {
-            return Err(SepdcError::InvalidConfig {
-                param: "serve.epsilon",
-                value: self.epsilon,
             });
         }
         Ok(())
@@ -159,7 +122,6 @@ impl KnnDcConfig {
             marching_slack: 8.0,
             separator: SeparatorConfig::default(),
             splitter: SplitterKind::Random,
-            epsilon: 0.0,
             query: QueryTreeConfig::default(),
             parallel_cutoff: 2048,
             max_depth: None,
@@ -179,16 +141,6 @@ impl KnnDcConfig {
     pub fn with_splitter(mut self, kind: SplitterKind) -> Self {
         self.splitter = kind;
         self.query.splitter = kind;
-        self
-    }
-
-    /// With an approximation slack ε (see [`KnnDcConfig::epsilon`]).
-    ///
-    /// Applied only to the top-level correction: the punt-path query
-    /// structure is built over *already-shrunk* crossing balls, so
-    /// `query.epsilon` stays 0 — setting both would relax twice.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
         self
     }
 
@@ -257,14 +209,6 @@ impl KnnDcConfig {
         }
         if !self.separator.tol.is_finite() || self.separator.tol < 0.0 {
             return Err(bad("separator.tol", self.separator.tol));
-        }
-        // ε ∈ [0, 1]: the certificate bound (1+ε)·r is only meaningful
-        // for modest slack, and larger values are always a config typo.
-        if !self.epsilon.is_finite() || !(0.0..=1.0).contains(&self.epsilon) {
-            return Err(bad("epsilon", self.epsilon));
-        }
-        if !self.query.epsilon.is_finite() || !(0.0..=1.0).contains(&self.query.epsilon) {
-            return Err(bad("query.epsilon", self.query.epsilon));
         }
         if self.query.leaf_size == 0 {
             return Err(bad("query.leaf_size", 0.0));
@@ -451,55 +395,6 @@ mod tests {
         let mut query_bad = base;
         query_bad.query.leaf_size = 0;
         assert!(query_bad.validate().is_err());
-    }
-
-    #[test]
-    fn epsilon_knobs() {
-        let cfg = KnnDcConfig::new(1);
-        assert_eq!(cfg.epsilon, 0.0);
-        assert_eq!(cfg.query.epsilon, 0.0);
-        // with_epsilon relaxes only the top level (punt-path balls are
-        // already shrunk).
-        let eps = KnnDcConfig::new(1).with_epsilon(0.25);
-        assert_eq!(eps.epsilon, 0.25);
-        assert_eq!(eps.query.epsilon, 0.0);
-        eps.validate().unwrap();
-        // Out-of-range ε is a typed config error at both layers.
-        for bad_eps in [f64::NAN, -0.1, 1.5] {
-            let bad = KnnDcConfig::new(1).with_epsilon(bad_eps);
-            assert!(
-                matches!(
-                    bad.validate(),
-                    Err(crate::SepdcError::InvalidConfig {
-                        param: "epsilon",
-                        ..
-                    })
-                ),
-                "eps {bad_eps}"
-            );
-            let sbad = ServeConfig {
-                epsilon: bad_eps,
-                ..ServeConfig::default()
-            };
-            assert!(sbad.validate().is_err(), "serve eps {bad_eps}");
-        }
-        let mut qbad = KnnDcConfig::new(1);
-        qbad.query.epsilon = 2.0;
-        assert!(matches!(
-            qbad.validate(),
-            Err(crate::SepdcError::InvalidConfig {
-                param: "query.epsilon",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn eps_scales_are_exact_identities_at_zero() {
-        assert_eq!(eps_radius_scale(0.0), 1.0);
-        assert_eq!(eps_cover_scale(0.0), 1.0);
-        assert!(eps_radius_scale(0.5) < 1.0);
-        assert!((eps_cover_scale(0.5) - 1.0 / 2.25).abs() < 1e-15);
     }
 
     #[test]

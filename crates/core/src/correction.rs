@@ -39,15 +39,6 @@ const PAR_SCAN_CUTOFF: usize = 2048;
 /// balls (side smaller than `k+1`, possible only after degenerate fallback
 /// cuts) are returned separately for exhaustive correction.
 ///
-/// `eps_scale` is the ε-mode radius shrink [`crate::config::eps_radius_scale`]
-/// (`1.0` = exact). When `< 1.0` each subset ball is tested with radius
-/// `r · eps_scale`: balls that cross only at full radius are dropped, which
-/// is exactly what bounds the reported k-th distance by `(1+ε)` times the
-/// exact one (DESIGN.md §17). The third return value counts those drops so
-/// the relaxation stays observable; it is always `0` at `eps_scale = 1.0`,
-/// where the constructed balls are bit-identical to the unscaled ones
-/// (IEEE: `x * 1.0 == x`).
-///
 /// Large sides are scanned as parallel chunks with per-chunk buffers; the
 /// chunk results are concatenated in chunk order, so the output is
 /// identical to the sequential scan regardless of thread count.
@@ -56,43 +47,35 @@ pub(crate) fn collect_crossing<const D: usize>(
     lists: &SharedLists,
     side_ids: &[u32],
     sep: &Separator<D>,
-    eps_scale: f64,
-) -> (Vec<CrossingBall<D>>, Vec<u32>, u64) {
-    let relaxed = eps_scale < 1.0;
+) -> (Vec<CrossingBall<D>>, Vec<u32>) {
     let scan = |ids: &[u32]| {
         let mut crossing = Vec::new();
         let mut unbounded = Vec::new();
-        let mut eps_skips = 0u64;
         for &i in ids {
             let r_sq = lists.radius_sq(i as usize);
             if !r_sq.is_finite() {
                 unbounded.push(i);
                 continue;
             }
-            let r = r_sq.sqrt();
-            let ball = Ball::new(points[i as usize], r * eps_scale);
+            let ball = Ball::new(points[i as usize], r_sq.sqrt());
             if ball.crosses(sep) {
                 crossing.push(CrossingBall { owner: i, ball });
-            } else if relaxed && Ball::new(points[i as usize], r).crosses(sep) {
-                eps_skips += 1;
             }
         }
-        (crossing, unbounded, eps_skips)
+        (crossing, unbounded)
     };
     if side_ids.len() < PAR_SCAN_CUTOFF {
         return scan(side_ids);
     }
-    let per_chunk: Vec<(Vec<CrossingBall<D>>, Vec<u32>, u64)> =
+    let per_chunk: Vec<(Vec<CrossingBall<D>>, Vec<u32>)> =
         side_ids.par_chunks(PAR_SCAN_CUTOFF).map(scan).collect();
     let mut crossing = Vec::new();
     let mut unbounded = Vec::new();
-    let mut eps_skips = 0u64;
-    for (c, u, s) in per_chunk {
+    for (c, u) in per_chunk {
         crossing.extend(c);
         unbounded.extend(u);
-        eps_skips += s;
     }
-    (crossing, unbounded, eps_skips)
+    (crossing, unbounded)
 }
 
 /// Exhaustively merge every point of `opposite` into the lists of the
@@ -132,8 +115,7 @@ pub(crate) fn correct_unbounded<const D: usize>(
 ///
 /// The build is timed under [`Phase::PuntBuild`] in `obs`. Returns the
 /// work–depth cost of the build plus the query sweep (its
-/// `separator_candidates` are the build's candidates), and the number of
-/// balls the tree's ε relaxation skipped.
+/// `separator_candidates` are the build's candidates).
 pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     soa: &SoaPoints<D>,
     lists: &SharedLists,
@@ -142,9 +124,9 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     qcfg: QueryTreeConfig,
     seed: u64,
     obs: &RunRecorder,
-) -> (CostProfile, u64) {
+) -> CostProfile {
     if crossing.is_empty() || subset.is_empty() {
-        return (CostProfile::zero(), 0);
+        return CostProfile::zero();
     }
     let balls: Vec<Ball<D>> = crossing.iter().map(|c| c.ball).collect();
     let tree = obs.time(Phase::PuntBuild, || {
@@ -156,8 +138,7 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
     // shared lists (order-independent). Chunks reuse one set of scratch
     // buffers: the leaf cover test and the owner-distance evaluation both
     // run through the blocked SoA kernels.
-    let process = |ids: &[u32]| -> u64 {
-        let mut eps_skips = 0;
+    let process = |ids: &[u32]| {
         let mut scratch: Vec<f64> = Vec::new();
         let mut hits: Vec<u32> = Vec::new();
         let mut owners: Vec<u32> = Vec::new();
@@ -165,7 +146,7 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
         for &p_id in ids {
             let p = soa.point(p_id as usize);
             hits.clear();
-            eps_skips += tree.covering_into(&p, true, &mut scratch, &mut hits).1;
+            tree.covering_into(&p, true, &mut scratch, &mut hits);
             // Which side is this point on? Determined by ownership: a point
             // corrects only balls owned by the *other* side. We recover the
             // side from the crossing metadata at merge time instead of
@@ -185,24 +166,18 @@ pub(crate) fn correct_via_query<const D: usize, const E: usize>(
                 lists.merge_candidate(o as usize, p_id, d);
             }
         }
-        eps_skips
     };
-    let eps_skips = if subset.len() >= PAR_SCAN_CUTOFF {
-        subset
-            .par_chunks(PAR_SCAN_CUTOFF)
-            .fold(|| 0, |acc, chunk| acc + process(chunk))
-            .reduce(|| 0, |a, b| a + b)
+    if subset.len() >= PAR_SCAN_CUTOFF {
+        subset.par_chunks(PAR_SCAN_CUTOFF).for_each(process);
     } else {
-        process(subset)
-    };
+        process(subset);
+    }
 
     // Build cost, then one query round of depth = tree height + leaf scan,
     // executed by all subset points in parallel (unit rounds each).
-    let cost = tree
-        .build_cost()
+    tree.build_cost()
         .then(CostProfile::rounds(height + 1, subset.len() as u64))
-        .with_punt();
-    (cost, eps_skips)
+        .with_punt()
 }
 
 #[cfg(test)]
@@ -237,9 +212,8 @@ mod tests {
     #[test]
     fn collect_crossing_identifies_boundary_balls() {
         let (points, lists, left, _right, sep) = line_fixture(20, 1, 9.5);
-        let (crossing, unbounded, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 1.0);
+        let (crossing, unbounded) = collect_crossing(&points, &lists, &left, &sep);
         assert!(unbounded.is_empty());
-        assert_eq!(eps_skips, 0);
         // Only the point at x = 9 has a subset ball (radius 1) crossing
         // x = 9.5.
         assert_eq!(crossing.len(), 1);
@@ -247,26 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_crossing_eps_shrink_drops_and_counts_marginal_balls() {
-        let (points, lists, left, _right, sep) = line_fixture(20, 1, 9.5);
-        // The x = 9 ball has radius 1 and crosses x = 9.5 by exactly 0.5;
-        // shrinking to radius 0.4 drops it and counts one ε skip.
-        let (crossing, unbounded, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 0.4);
-        assert!(unbounded.is_empty());
-        assert!(crossing.is_empty());
-        assert_eq!(eps_skips, 1);
-        // A shrink that still crosses keeps the ball and counts nothing.
-        let (crossing, _, eps_skips) = collect_crossing(&points, &lists, &left, &sep, 0.9);
-        assert_eq!(crossing.len(), 1);
-        assert_eq!(eps_skips, 0);
-    }
-
-    #[test]
     fn query_correction_fixes_boundary_lists() {
         let (points, lists, left, right, sep) = line_fixture(20, 2, 9.5);
         let mut crossing = Vec::new();
         for ids in [&left, &right] {
-            let (c, u, _) = collect_crossing(&points, &lists, ids, &sep, 1.0);
+            let (c, u) = collect_crossing(&points, &lists, ids, &sep);
             assert!(u.is_empty());
             crossing.extend(c);
         }
@@ -299,7 +258,7 @@ mod tests {
             lists.set_list(i, tmp.neighbors(i));
         }
         let sep: Separator<1> = Hyperplane::axis_aligned(0, 0.5).into();
-        let (_, unbounded, _) = collect_crossing(&points, &lists, &left, &sep, 1.0);
+        let (_, unbounded) = collect_crossing(&points, &lists, &left, &sep);
         assert_eq!(unbounded, vec![0]);
         let soa = SoaPoints::from_points(&points);
         correct_unbounded(&soa, &lists, &unbounded, &right);
@@ -311,7 +270,7 @@ mod tests {
         let points: Vec<Point<1>> = (0..4).map(|i| Point::from([i as f64])).collect();
         let lists = SharedLists::new(4, 1);
         let soa = SoaPoints::from_points(&points);
-        let (cost, eps_skips) = correct_via_query::<1, 2>(
+        let cost = correct_via_query::<1, 2>(
             &soa,
             &lists,
             &[0, 1, 2, 3],
@@ -321,6 +280,5 @@ mod tests {
             &RunRecorder::disabled(),
         );
         assert_eq!(cost, CostProfile::zero());
-        assert_eq!(eps_skips, 0);
     }
 }

@@ -157,54 +157,6 @@ impl KnnResult {
         Ok(())
     }
 
-    /// Measure this (possibly ε-approximate) result against an `exact`
-    /// reference, producing the per-run error certificate of DESIGN.md §17.
-    ///
-    /// Errors are measured — never assumed from the ε knob: rank `r` of
-    /// point `i` compares this result's distance `d̃` against the exact
-    /// `d` as `√(d̃/d) − 1` (the paper's radii are distances, not squared
-    /// distances, so the `(1+ε)` guarantee lives on the square root).
-    /// An approximate list may also come up *short* when ε-skipping
-    /// starves a list below `k`; short ranks are counted, not compared.
-    ///
-    /// # Panics
-    /// Panics when the two results have different `n` or `k` — comparing
-    /// unrelated runs is a caller bug, not a measurable error.
-    pub fn error_certificate(&self, exact: &KnnResult) -> ErrorCertificate {
-        assert_eq!(self.len(), exact.len(), "point-count mismatch");
-        assert_eq!(self.k, exact.k, "k mismatch");
-        let mut cert = ErrorCertificate::default();
-        for i in 0..self.len() {
-            let approx = self.neighbors(i);
-            let ex = exact.neighbors(i);
-            if approx.len() < ex.len() {
-                cert.short_ranks += (ex.len() - approx.len()) as u64;
-            }
-            for (a, e) in approx.iter().zip(ex) {
-                cert.compared_entries += 1;
-                if a.dist_sq.to_bits() != e.dist_sq.to_bits() || a.idx != e.idx {
-                    cert.mismatched_entries += 1;
-                }
-                // Relative error on the distance (√ of the squared ratio).
-                // d̃ ≥ d rank-by-rank (approximation only drops candidates,
-                // it never invents closer ones), so the clamp to 0 only
-                // absorbs tie permutations.
-                let rel = if e.dist_sq == 0.0 {
-                    if a.dist_sq == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    ((a.dist_sq / e.dist_sq).sqrt() - 1.0).max(0.0)
-                };
-                cert.max_rel_error = cert.max_rel_error.max(rel);
-                cert.sum_rel_error += rel;
-            }
-        }
-        cert
-    }
-
     /// Internal invariants: sorted, deduplicated, no self-loops, capped.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.len() {
@@ -224,67 +176,6 @@ impl KnnResult {
             }
         }
         Ok(())
-    }
-}
-
-/// Measured (1+ε) error certificate: an approximate run compared rank by
-/// rank against an exact reference. See [`KnnResult::error_certificate`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ErrorCertificate {
-    /// Largest observed relative *distance* error `√(d̃/d) − 1` over all
-    /// compared ranks. A valid `(1+ε)` run keeps this `≤ ε`.
-    pub max_rel_error: f64,
-    /// Sum of the relative errors (divide by `compared_entries` for the
-    /// mean; kept as a sum so certificates merge by addition).
-    pub sum_rel_error: f64,
-    /// Ranks present in both results and compared.
-    pub compared_entries: u64,
-    /// Compared ranks whose `(idx, dist_sq)` differ from the exact answer
-    /// (bit-level — includes harmless tie permutations).
-    pub mismatched_entries: u64,
-    /// Ranks the approximate result is missing entirely (its list came up
-    /// shorter than the exact one).
-    pub short_ranks: u64,
-}
-
-impl ErrorCertificate {
-    /// Mean relative error over the compared ranks (0 when none).
-    pub fn mean_rel_error(&self) -> f64 {
-        if self.compared_entries == 0 {
-            0.0
-        } else {
-            self.sum_rel_error / self.compared_entries as f64
-        }
-    }
-
-    /// `true` when every observed error is within the `(1+ε)` contract:
-    /// `max_rel_error ≤ ε` and no list came up short.
-    pub fn within(&self, epsilon: f64) -> bool {
-        self.short_ranks == 0 && self.max_rel_error <= epsilon
-    }
-
-    /// Counter rows for a [`RunReport`](crate::report::RunReport), under
-    /// the `certificate.*` namespace.
-    pub fn counters(&self) -> Vec<(String, f64)> {
-        vec![
-            ("certificate.max_rel_error".to_string(), self.max_rel_error),
-            (
-                "certificate.mean_rel_error".to_string(),
-                self.mean_rel_error(),
-            ),
-            (
-                "certificate.compared_entries".to_string(),
-                self.compared_entries as f64,
-            ),
-            (
-                "certificate.mismatched_entries".to_string(),
-                self.mismatched_entries as f64,
-            ),
-            (
-                "certificate.short_ranks".to_string(),
-                self.short_ranks as f64,
-            ),
-        ]
     }
 }
 
@@ -505,59 +396,6 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         KnnResult::new(3, 0);
-    }
-
-    #[test]
-    fn error_certificate_identical_runs_are_clean() {
-        let mut r = KnnResult::new(2, 2);
-        r.merge_candidate(0, 1, 1.0);
-        r.merge_candidate(1, 0, 1.0);
-        let cert = r.error_certificate(&r.clone());
-        assert_eq!(cert.max_rel_error, 0.0);
-        assert_eq!(cert.mismatched_entries, 0);
-        assert_eq!(cert.short_ranks, 0);
-        assert_eq!(cert.compared_entries, 2);
-        assert!(cert.within(0.0));
-    }
-
-    #[test]
-    fn error_certificate_measures_inflated_distances() {
-        let mut exact = KnnResult::new(1, 2);
-        exact.merge_candidate(0, 1, 1.0);
-        exact.merge_candidate(0, 2, 4.0);
-        let mut approx = KnnResult::new(1, 2);
-        approx.merge_candidate(0, 1, 1.0);
-        // Rank 1 picked a farther neighbor: distance 3 vs exact 2 —
-        // relative distance error √(9/4) − 1 = 0.5.
-        approx.merge_candidate(0, 3, 9.0);
-        let cert = approx.error_certificate(&exact);
-        assert_eq!(cert.max_rel_error, 0.5);
-        assert_eq!(cert.mismatched_entries, 1);
-        assert_eq!(cert.compared_entries, 2);
-        assert!(cert.within(0.5));
-        assert!(!cert.within(0.49));
-        assert_eq!(cert.mean_rel_error(), 0.25);
-    }
-
-    #[test]
-    fn error_certificate_counts_short_lists_and_zero_exact() {
-        let mut exact = KnnResult::new(1, 2);
-        exact.merge_candidate(0, 1, 0.0);
-        exact.merge_candidate(0, 2, 1.0);
-        let mut approx = KnnResult::new(1, 2);
-        approx.merge_candidate(0, 1, 0.0);
-        let cert = approx.error_certificate(&exact);
-        assert_eq!(cert.short_ranks, 1);
-        assert_eq!(cert.compared_entries, 1);
-        assert_eq!(cert.max_rel_error, 0.0);
-        assert!(!cert.within(1.0), "short list breaks the contract");
-        // A nonzero approximate distance against an exact zero is an
-        // unbounded relative error, not a crash.
-        let mut approx2 = KnnResult::new(1, 2);
-        approx2.merge_candidate(0, 3, 0.25);
-        approx2.merge_candidate(0, 2, 1.0);
-        let cert2 = approx2.error_certificate(&exact);
-        assert_eq!(cert2.max_rel_error, f64::INFINITY);
     }
 
     #[test]

@@ -62,12 +62,12 @@ pub mod splitter;
 pub mod validate;
 
 pub use brute::{brute_force_knn, try_brute_force_knn};
-pub use config::{eps_cover_scale, eps_radius_scale, KnnDcConfig, ServeConfig};
+pub use config::{KnnDcConfig, ServeConfig};
 pub use error::SepdcError;
 pub use graph::KnnGraph;
 pub use graph_separator::{sphere_graph_separator, GraphSeparator};
 pub use kdtree::{kdtree_all_knn, try_kdtree_all_knn, KdTree};
-pub use knn::{ErrorCertificate, KnnResult, Neighbor};
+pub use knn::{KnnResult, Neighbor};
 pub use neighborhood::NeighborhoodSystem;
 pub use parallel::{parallel_knn, try_parallel_knn, ParallelDcOutput, ParallelDcStats};
 pub use partition_tree::{

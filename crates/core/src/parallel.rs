@@ -18,7 +18,7 @@
 //!   punts along any root-leaf path sum to `O(log n)` w.h.p., so the whole
 //!   algorithm stays `O(log n)` depth.
 
-use crate::config::{eps_radius_scale, KnnDcConfig};
+use crate::config::KnnDcConfig;
 use crate::correction::{collect_crossing, correct_unbounded, correct_via_query, CrossingBall};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
@@ -369,7 +369,6 @@ pub(crate) fn config_echo(
         ("depth_limit".to_string(), depth_limit as f64),
         ("record".to_string(), f64::from(u8::from(cfg.record))),
         ("splitter".to_string(), cfg.splitter.code() as f64),
-        ("epsilon".to_string(), cfg.epsilon),
     ]
 }
 
@@ -566,15 +565,8 @@ fn rec<const D: usize, const E: usize>(
     // left/right subsets.
     let (left, right) = ids.split_at(nl);
     let t_cc = ctx.obs.start();
-    // ε-mode shrinks each crossing ball's radius by 1/(1+ε) here; the march
-    // caps and the punt-path query tree both read the shrunk radii, so the
-    // whole correction inherits the relaxation from this single site.
-    let eps_scale = eps_radius_scale(ctx.cfg.epsilon);
-    let (cross_l, unbounded_l, skips_l) =
-        collect_crossing(ctx.points, ctx.lists, left, &sep, eps_scale);
-    let (cross_r, unbounded_r, skips_r) =
-        collect_crossing(ctx.points, ctx.lists, right, &sep, eps_scale);
-    ctx.meter.add_eps_skips(skips_l + skips_r);
+    let (cross_l, unbounded_l) = collect_crossing(ctx.points, ctx.lists, left, &sep);
+    let (cross_r, unbounded_r) = collect_crossing(ctx.points, ctx.lists, right, &sep);
     correct_unbounded(ctx.soa, ctx.lists, &unbounded_l, right);
     correct_unbounded(ctx.soa, ctx.lists, &unbounded_r, left);
     ctx.obs.stop(Phase::CollectCrossing, t_cc);
@@ -597,11 +589,8 @@ fn rec<const D: usize, const E: usize>(
     stats.halving_rescues += u64::from(rescued);
 
     let qseed = punt_seed(seed);
-    // The punt tree's ε stays `cfg.query.epsilon` (0 by default): it is
-    // built over already-shrunk balls, so a second relaxation would
-    // double-count ε.
     let punt = |crossing: &[CrossingBall<D>]| {
-        let (cost, eps_skips) = correct_via_query::<D, E>(
+        let cost = correct_via_query::<D, E>(
             ctx.soa,
             ctx.lists,
             ids,
@@ -611,7 +600,6 @@ fn rec<const D: usize, const E: usize>(
             ctx.obs,
         );
         ctx.meter.add_punt_candidates(cost.separator_candidates);
-        ctx.meter.add_eps_skips(eps_skips);
         cost
     };
     let corr_cost = if (crossing_total as f64) >= threshold {

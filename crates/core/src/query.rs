@@ -13,7 +13,6 @@
 //! `O(n)`, query `O(log n + m₀)`; parallel construction in `O(log n)`
 //! rounds w.h.p. (Theorem 3.1).
 
-use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::child_seed;
@@ -55,11 +54,6 @@ pub struct QueryTreeConfig {
     /// attributed to their caller's `punt-correction` phase, so per-node
     /// instrumentation inside those builds would only add overhead.
     pub record: bool,
-    /// Cover-filter relaxation ε ∈ [0, 1]. When nonzero, leaf scans may
-    /// skip balls whose squared radius exceeds the probe distance by less
-    /// than a `(1+ε)²` factor; skips are counted in the filter stats so the
-    /// relaxation stays observable. `0.0` (default) is the exact predicate.
-    pub epsilon: f64,
 }
 
 impl Default for QueryTreeConfig {
@@ -70,7 +64,6 @@ impl Default for QueryTreeConfig {
             splitter: SplitterKind::Random,
             parallel_cutoff: 4096,
             record: false,
-            epsilon: 0.0,
         }
     }
 }
@@ -122,8 +115,6 @@ pub struct QueryTree<const D: usize> {
     /// Which split-decision backend built this tree (round-tripped through
     /// snapshots).
     splitter: SplitterKind,
-    /// Cover-filter relaxation ε (round-tripped through snapshots).
-    epsilon: f64,
 }
 
 struct BuildCtx<'a, const D: usize> {
@@ -175,12 +166,6 @@ impl<const D: usize> QueryTree<D> {
             return Err(SepdcError::InvalidConfig {
                 param: "leaf_size",
                 value: 0.0,
-            });
-        }
-        if !cfg.epsilon.is_finite() || !(0.0..=1.0).contains(&cfg.epsilon) {
-            return Err(SepdcError::InvalidConfig {
-                param: "epsilon",
-                value: cfg.epsilon,
             });
         }
         if let Some(idx) = balls
@@ -240,7 +225,6 @@ impl<const D: usize> QueryTree<D> {
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
                 ("splitter".to_string(), cfg.splitter.code() as f64),
-                ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
             counters,
@@ -255,7 +239,6 @@ impl<const D: usize> QueryTree<D> {
             cost: built.cost,
             report,
             splitter: cfg.splitter,
-            epsilon: cfg.epsilon,
         })
     }
 
@@ -301,10 +284,9 @@ impl<const D: usize> QueryTree<D> {
 
     /// Scratch-reusing cover query: appends to `out` the ids of all balls
     /// containing `p` (open interior when `open`), in leaf order, and
-    /// returns the number of tree nodes visited plus the number of balls
-    /// the tree's ε relaxation skipped. The leaf scan runs through the
-    /// batched [`SoaBalls`] kernel; `scratch` is a reusable distance
-    /// buffer so batch callers ([`serve`](crate::serve), the punt
+    /// returns the number of tree nodes visited. The leaf scan runs
+    /// through the batched [`SoaBalls`] kernel; `scratch` is a reusable
+    /// distance buffer so batch callers ([`serve`](crate::serve), the punt
     /// correction) do no per-probe allocation.
     pub(crate) fn covering_into(
         &self,
@@ -312,17 +294,10 @@ impl<const D: usize> QueryTree<D> {
         open: bool,
         scratch: &mut Vec<f64>,
         out: &mut Vec<u32>,
-    ) -> (usize, u64) {
+    ) -> usize {
         let (leaf, visited) = self.descend_counted(p);
-        let eps_skips = self.soa.filter_covering_relaxed_into(
-            p,
-            leaf,
-            open,
-            eps_cover_scale(self.epsilon),
-            scratch,
-            out,
-        );
-        (visited, eps_skips)
+        self.soa.filter_covering_into(p, leaf, open, scratch, out);
+        visited
     }
 
     /// The leaf list plus the number of tree nodes visited reaching it —
@@ -375,7 +350,6 @@ impl<const D: usize> QueryTree<D> {
         cost: CostProfile,
         seed: u64,
         splitter: SplitterKind,
-        epsilon: f64,
         load_elapsed: std::time::Duration,
     ) -> Self {
         let mut counters = vec![
@@ -414,7 +388,6 @@ impl<const D: usize> QueryTree<D> {
             cost,
             report,
             splitter,
-            epsilon,
         }
     }
 
@@ -422,12 +395,6 @@ impl<const D: usize> QueryTree<D> {
     /// metadata when the tree came from a snapshot).
     pub fn splitter(&self) -> SplitterKind {
         self.splitter
-    }
-
-    /// The cover-filter relaxation ε this tree was built with (`0.0` =
-    /// exact predicate).
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Number of tree nodes visited plus leaf balls scanned for `p` —

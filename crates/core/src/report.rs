@@ -369,15 +369,7 @@ pub fn meter_counters(m: &MeterSnapshot) -> Vec<(String, f64)> {
             "meter.correction_dist_evals".into(),
             m.correction_dist_evals as f64,
         ),
-        eps_skips_counter(m.eps_skips),
     ]
-}
-
-/// The ε-relaxation skip count under its wire name `precision.eps_skips`
-/// — used directly by algorithms without an event meter (the Section 5
-/// recursion and the serve engine count skips themselves).
-pub fn eps_skips_counter(eps_skips: u64) -> (String, f64) {
-    ("precision.eps_skips".into(), eps_skips as f64)
 }
 
 /// Counters of a [`CostProfile`] under the `cost.` prefix.
@@ -554,17 +546,7 @@ impl RunReport {
         if !self.config.is_empty() {
             s.push_str("\nconfig:\n");
             for (name, v) in &self.config {
-                // The ε knob echoes as a raw number in the JSON; spell it
-                // out for humans (DESIGN.md §17).
-                match name.as_str() {
-                    "epsilon" if *v > 0.0 => {
-                        s.push_str(&format!("  {name:<24} {v} ((1+ε)-approximate)\n"));
-                    }
-                    "epsilon" => {
-                        s.push_str(&format!("  {name:<24} {v} (exact answers)\n"));
-                    }
-                    _ => s.push_str(&format!("  {name:<24} {v}\n")),
-                }
+                s.push_str(&format!("  {name:<24} {v}\n"));
             }
         }
         if !self.phases.is_empty() {
@@ -592,30 +574,9 @@ impl RunReport {
             }
         }
         if !self.counters.is_empty() {
-            // The certificate namespace renders as its own section;
-            // everything else stays in the flat counter list.
-            let flat: Vec<_> = self
-                .counters
-                .iter()
-                .filter(|(n, _)| !n.starts_with("certificate."))
-                .collect();
-            if !flat.is_empty() {
-                s.push_str("\ncounters:\n");
-                for (name, v) in flat {
-                    s.push_str(&format!("  {name:<32} {v}\n"));
-                }
-            }
-            let cert: Vec<_> = self
-                .counters
-                .iter()
-                .filter(|(n, _)| n.starts_with("certificate."))
-                .collect();
-            if !cert.is_empty() {
-                s.push_str("\nerror certificate (measured vs exact):\n");
-                for (name, v) in cert {
-                    let short = name.trim_start_matches("certificate.");
-                    s.push_str(&format!("  {short:<32} {v}\n"));
-                }
+            s.push_str("\ncounters:\n");
+            for (name, v) in &self.counters {
+                s.push_str(&format!("  {name:<32} {v}\n"));
             }
         }
         if !self.depth.is_empty() {
@@ -1285,30 +1246,6 @@ mod tests {
         assert!(text.contains("    punt-build"), "{text}");
         assert_eq!(phase_parent("punt-build"), Some("punt-correction"));
         assert_eq!(phase_parent("split"), None);
-    }
-
-    #[test]
-    fn render_human_groups_certificate_section() {
-        let mut r = sample_report();
-        r.config.push(("epsilon".to_string(), 0.25));
-        r.counters.push(eps_skips_counter(7));
-        r.counters
-            .push(("certificate.max_rel_error".to_string(), 0.01));
-        let text = r.render_human();
-        assert!(text.contains("(1+ε)-approximate"), "{text}");
-        assert!(
-            text.contains("error certificate (measured vs exact):"),
-            "{text}"
-        );
-        // Certificate counters are pulled out of the flat list and
-        // rendered with the prefix stripped; the skip count stays flat.
-        assert!(!text.contains("  certificate.max_rel_error"), "{text}");
-        assert!(text.contains("  max_rel_error"), "{text}");
-        assert!(text.contains("  precision.eps_skips"), "{text}");
-        // ε = 0 renders as exact.
-        let mut r0 = sample_report();
-        r0.config.push(("epsilon".to_string(), 0.0));
-        assert!(r0.render_human().contains("(exact answers)"));
     }
 
     #[test]

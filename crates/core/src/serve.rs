@@ -66,10 +66,9 @@
 
 pub use crate::config::ServeConfig;
 
-use crate::config::eps_cover_scale;
 use crate::error::{validate_points, SepdcError};
 use crate::query::QueryTree;
-use crate::report::{eps_skips_counter, Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
+use crate::report::{Phase, RunRecorder, RunReport, RUN_REPORT_VERSION};
 use sepdc_geom::point::Point;
 
 /// Which containment predicate a batch evaluates.
@@ -207,9 +206,6 @@ pub struct ServeStats {
     pub cost_total: u64,
     /// Largest single-probe query cost in the batch.
     pub cost_max: u64,
-    /// Balls the ε-relaxed cover predicate skipped across the batch
-    /// (always zero with ε = 0).
-    pub eps_skips: u64,
 }
 
 impl ServeStats {
@@ -257,7 +253,6 @@ fn serve_chunk<const D: usize>(
     tree: &QueryTree<D>,
     chunk: &[Point<D>],
     pred: CoverPredicate,
-    cfg: &ServeConfig,
     obs: &RunRecorder,
 ) -> ChunkPart {
     let t = obs.start();
@@ -271,8 +266,6 @@ fn serve_chunk<const D: usize>(
     };
     let soa = tree.soa_balls();
     let open = pred == CoverPredicate::Open;
-    // ε > 0 relaxes the cover predicate per DESIGN.md §17.
-    let eps_scale = eps_cover_scale(cfg.epsilon);
     // One distance buffer for the whole chunk: the leaf filter runs
     // through the blocked SoA kernels, appending hits in leaf order (so the
     // CSR assembly stays byte-identical to the scalar filter).
@@ -280,8 +273,7 @@ fn serve_chunk<const D: usize>(
     for p in chunk {
         let (leaf, visited) = tree.descend_counted(p);
         let before = part.ids.len();
-        part.stats.eps_skips +=
-            soa.filter_covering_relaxed_into(p, leaf, open, eps_scale, &mut scratch, &mut part.ids);
+        soa.filter_covering_into(p, leaf, open, &mut scratch, &mut part.ids);
         let hits = (part.ids.len() - before) as u64;
         let cost = visited as u64 + leaf.len() as u64;
         part.lens.push(hits as u32);
@@ -313,12 +305,12 @@ fn serve_rec<const D: usize>(
 ) -> Vec<ChunkPart> {
     let chunks = probes.len().div_ceil(cfg.chunk_size);
     if chunks <= 1 {
-        return vec![serve_chunk(tree, probes, pred, cfg, obs)];
+        return vec![serve_chunk(tree, probes, pred, obs)];
     }
     if !parallel {
         return probes
             .chunks(cfg.chunk_size)
-            .map(|c| serve_chunk(tree, c, pred, cfg, obs))
+            .map(|c| serve_chunk(tree, c, pred, obs))
             .collect();
     }
     // Split at a chunk boundary so chunk contents are identical to the
@@ -353,7 +345,6 @@ fn assemble(parts: Vec<ChunkPart>, probes: usize) -> (BatchResult, ServeStats) {
         stats.chunks += part.stats.chunks;
         stats.cost_total += part.stats.cost_total;
         stats.cost_max = stats.cost_max.max(part.stats.cost_max);
-        stats.eps_skips += part.stats.eps_skips;
     }
     (BatchResult { offsets, ids }, stats)
 }
@@ -403,21 +394,16 @@ impl<const D: usize> QueryTree<D> {
                     f64::from(u8::from(pred == CoverPredicate::Open)),
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
-                ("epsilon".to_string(), cfg.epsilon),
             ],
             phases: obs.phases(),
-            counters: {
-                let mut counters = vec![
-                    ("serve.probes".to_string(), stats.probes as f64),
-                    ("serve.hits".to_string(), stats.hits as f64),
-                    ("serve.chunks".to_string(), stats.chunks as f64),
-                    ("serve.cost_total".to_string(), stats.cost_total as f64),
-                    ("serve.cost_max".to_string(), stats.cost_max as f64),
-                    ("serve.cost_mean".to_string(), stats.mean_cost()),
-                ];
-                counters.push(eps_skips_counter(stats.eps_skips));
-                counters
-            },
+            counters: vec![
+                ("serve.probes".to_string(), stats.probes as f64),
+                ("serve.hits".to_string(), stats.hits as f64),
+                ("serve.chunks".to_string(), stats.chunks as f64),
+                ("serve.cost_total".to_string(), stats.cost_total as f64),
+                ("serve.cost_max".to_string(), stats.cost_max as f64),
+                ("serve.cost_mean".to_string(), stats.mean_cost()),
+            ],
             depth: obs.depth_rows(),
         }
         .finish(t_run.elapsed());
@@ -587,7 +573,6 @@ mod tests {
             record: true,
             chunk_size: 256,
             parallel_threshold: 512,
-            ..ServeConfig::default()
         };
         let out = tree.try_serve(&probes, CoverPredicate::Open, &cfg).unwrap();
         let r = &out.report;
@@ -630,37 +615,6 @@ mod tests {
         // cost 0 cannot occur (every probe visits the root) but must not
         // underflow the bucket math.
         assert_eq!(cost_bucket(0), 0);
-    }
-
-    #[test]
-    fn epsilon_serving_relaxes_cover_and_counts_skips() {
-        let tree = tree_2d(600, 2, 31);
-        let probes = Workload::UniformCube.generate::<2>(1200, 32);
-        let exact = tree
-            .try_serve(&probes, CoverPredicate::Closed, &ServeConfig::default())
-            .unwrap();
-        let relaxed = tree
-            .try_serve(
-                &probes,
-                CoverPredicate::Closed,
-                &ServeConfig {
-                    epsilon: 0.5,
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap();
-        // ε-mode may only *drop* hits (the predicate shrinks), and every
-        // dropped hit is counted.
-        assert!(relaxed.stats.hits <= exact.stats.hits);
-        let dropped = exact.stats.hits - relaxed.stats.hits;
-        assert_eq!(relaxed.stats.eps_skips, dropped);
-        assert!(dropped > 0, "ε = 0.5 should drop marginal covers here");
-        for (i, _) in probes.iter().enumerate() {
-            let e: std::collections::HashSet<u32> = exact.result.hits(i).iter().copied().collect();
-            for id in relaxed.result.hits(i) {
-                assert!(e.contains(id), "ε-mode invented hit {id} at probe {i}");
-            }
-        }
     }
 
     #[test]

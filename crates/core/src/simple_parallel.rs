@@ -14,13 +14,13 @@
 //! motivate Section 6: on hyperplane-adversarial inputs a single cut is
 //! crossed by `Ω(n)` balls.
 
-use crate::config::{eps_radius_scale, KnnDcConfig};
+use crate::config::KnnDcConfig;
 use crate::correction::{collect_crossing, correct_unbounded, correct_via_query};
 use crate::error::{validate_points, SepdcError};
 use crate::knn::{brute_list_soa_into, KnnResult};
 use crate::parallel::config_echo;
 use crate::partition_tree::partition_in_place;
-use crate::report::{cost_counters, eps_skips_counter, Phase, RunRecorder, RunReport};
+use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
 use crate::shared::SharedLists;
 use crate::splitter::splitter_for;
 use sepdc_geom::point::Point;
@@ -160,7 +160,7 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
     // hands each recursive call a disjoint `&mut` slice — no per-level
     // id-set clones.
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    let (cost, stats, eps_skips) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
+    let (cost, stats) = rec::<D, E>(&ctx, &mut perm, cfg.seed, 0)?;
     let mut counters = vec![
         ("stats.height".to_string(), stats.height as f64),
         (
@@ -190,7 +190,6 @@ pub fn try_simple_parallel_knn<const D: usize, const E: usize>(
         ),
     ];
     counters.extend(cost_counters(&cost));
-    counters.push(eps_skips_counter(eps_skips));
     let report = RunReport {
         version: crate::report::RUN_REPORT_VERSION,
         algo: "simple".to_string(),
@@ -219,7 +218,7 @@ fn rec<const D: usize, const E: usize>(
     ids: &mut [u32],
     seed: u64,
     depth: usize,
-) -> Result<(CostProfile, SimpleDcStats, u64), SepdcError> {
+) -> Result<(CostProfile, SimpleDcStats), SepdcError> {
     let m = ids.len();
     ctx.obs.node(depth);
     if m <= ctx.base {
@@ -227,7 +226,6 @@ fn rec<const D: usize, const E: usize>(
         return Ok((
             CostProfile::rounds(m as u64, m as u64),
             SimpleDcStats::leaf(false),
-            0,
         ));
     }
     if depth >= ctx.depth_limit {
@@ -242,7 +240,7 @@ fn rec<const D: usize, const E: usize>(
         solve_subset_into(ctx, ids, depth);
         let mut stats = SimpleDcStats::leaf(true);
         stats.depth_forced_leaves = 1;
-        return Ok((CostProfile::rounds(m as u64, m as u64), stats, 0));
+        return Ok((CostProfile::rounds(m as u64, m as u64), stats));
     }
     let t_split = ctx.obs.start();
     let subset_points: Vec<Point<D>> = ids.iter().map(|&i| ctx.points[i as usize]).collect();
@@ -254,7 +252,6 @@ fn rec<const D: usize, const E: usize>(
         return Ok((
             CostProfile::rounds(m as u64, m as u64),
             SimpleDcStats::leaf(true),
-            0,
         ));
     };
     let nl = partition_in_place(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
@@ -265,7 +262,7 @@ fn rec<const D: usize, const E: usize>(
         solve_subset_into(ctx, ids, depth);
         let mut stats = SimpleDcStats::leaf(true);
         stats.degenerate_splits = 1;
-        return Ok((CostProfile::rounds(m as u64, m as u64), stats, 0));
+        return Ok((CostProfile::rounds(m as u64, m as u64), stats));
     }
 
     // Path-derived sibling seeds (see [`crate::seeding`]).
@@ -283,19 +280,14 @@ fn rec<const D: usize, const E: usize>(
             rec::<D, E>(ctx, rslice, rseed, depth + 1),
         )
     };
-    let ((lcost, lstats, lf), (rcost, rstats, rf)) = (lres?, rres?);
+    let ((lcost, lstats), (rcost, rstats)) = (lres?, rres?);
 
     // Correction: query structure over all crossing balls (both sides).
     // The child calls permuted their halves but the id sets are unchanged.
-    // ε-mode shrinks the crossing radii here exactly as in the Section 6
-    // recursion; the query tree then indexes the shrunk balls.
     let (left, right) = ids.split_at(nl);
     let t_cc = ctx.obs.start();
-    let eps_scale = eps_radius_scale(ctx.cfg.epsilon);
-    let (mut crossing, unbounded_l, skips_l) =
-        collect_crossing(ctx.points, ctx.lists, left, &sep, eps_scale);
-    let (cross_r, unbounded_r, skips_r) =
-        collect_crossing(ctx.points, ctx.lists, right, &sep, eps_scale);
+    let (mut crossing, unbounded_l) = collect_crossing(ctx.points, ctx.lists, left, &sep);
+    let (cross_r, unbounded_r) = collect_crossing(ctx.points, ctx.lists, right, &sep);
     crossing.extend(cross_r);
     correct_unbounded(ctx.soa, ctx.lists, &unbounded_l, right);
     correct_unbounded(ctx.soa, ctx.lists, &unbounded_r, left);
@@ -303,12 +295,10 @@ fn rec<const D: usize, const E: usize>(
     let node_crossing = crossing.len();
     ctx.obs.add_crossing(depth, node_crossing as u64);
     let qseed = crate::seeding::punt_seed(seed);
-    // The query tree's ε stays `cfg.query.epsilon` because the balls
-    // above are already shrunk.
     // Every internal node corrects through the query structure here (the
     // Section 5 combine step), so its time lands in the same
     // `punt-correction` phase the Section 6 punt path uses.
-    let (corr_cost, corr_skips) = ctx.obs.time(Phase::PuntCorrection, || {
+    let corr_cost = ctx.obs.time(Phase::PuntCorrection, || {
         correct_via_query::<D, E>(
             ctx.soa,
             ctx.lists,
@@ -323,8 +313,7 @@ fn rec<const D: usize, const E: usize>(
     let local = CostProfile::scan(m as u64); // the split
     let cost = local.then(lcost.alongside(rcost)).then(corr_cost);
     let stats = lstats.merge(rstats, node_crossing, m);
-    let eps_skips = lf + rf + corr_skips + skips_l + skips_r;
-    Ok((cost, stats, eps_skips))
+    Ok((cost, stats))
 }
 
 fn solve_subset_into<const D: usize>(ctx: &Ctx<'_, D>, ids: &[u32], depth: usize) {

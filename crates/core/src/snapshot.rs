@@ -631,10 +631,10 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         // Appended last so snapshots written before the splitter existed
         // (14-word META) still load: absent ⇒ the Random default.
         tree.splitter().code(),
-        // Optional words 16/17: a reserved word and ε (raw f64 bits).
-        // Absent on older snapshots ⇒ ε = 0 (DESIGN.md §17).
-        META_RESERVED_WORD,
-        tree.epsilon().to_bits(),
+        // Words 16/17: reserved, written with their fixed values
+        // (DESIGN.md §17).
+        META_WORD_16,
+        META_WORD_17,
     ] {
         put_u64(&mut meta, v);
     }
@@ -731,7 +731,14 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
 /// f64 distances, so the writer keeps the `1` older default builds carried
 /// (leaving snapshot bytes unchanged) and the loader accepts either legal
 /// value and ignores it.
-const META_RESERVED_WORD: u64 = 1;
+const META_WORD_16: u64 = 1;
+
+/// Value written into query-tree `META` word 17: the bits of `0.0f64`.
+/// The word once held a `(1+ε)` cover relaxation; every tree now serves
+/// the exact predicate, so the writer keeps the `ε = 0` bits older default
+/// builds carried (leaving snapshot bytes unchanged) and the loader
+/// rejects any other value rather than serve a relaxed tree exactly.
+const META_WORD_17: u64 = 0.0f64.to_bits();
 
 /// Decoded `META` section of a query-tree snapshot.
 struct QueryMeta {
@@ -740,7 +747,6 @@ struct QueryMeta {
     stats: QueryTreeStats,
     cost: CostProfile,
     splitter: SplitterKind,
-    epsilon: f64,
 }
 
 fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
@@ -775,9 +781,9 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
     } else {
         SplitterKind::Random
     };
-    // Optional words 16/17: reserved word + ε. Snapshots written before
-    // these words stop at 15 and decode with ε = 0. The reserved word is
-    // validated (0 or 1) and otherwise ignored.
+    // Optional words 16/17, both reserved. Snapshots written before these
+    // words stop at 15. Word 16 is validated (0 or 1) and otherwise
+    // ignored; word 17 must be `0.0`'s bits.
     if c.remaining() > 0 {
         let word = c.u64()?;
         if word > 1 {
@@ -787,15 +793,15 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
             ));
         }
     }
-    let epsilon = if c.remaining() > 0 {
-        let eps = f64::from_bits(c.u64()?);
-        if !eps.is_finite() || !(0.0..=1.0).contains(&eps) {
-            return Err(corrupt("META", format!("epsilon {eps} outside [0, 1]")));
+    if c.remaining() > 0 {
+        let word = c.u64()?;
+        if word != META_WORD_17 {
+            return Err(corrupt(
+                "META",
+                format!("reserved word 17 is {word:#x}, not 0"),
+            ));
         }
-        eps
-    } else {
-        0.0
-    };
+    }
     c.finish()?;
     Ok(QueryMeta {
         seed,
@@ -803,7 +809,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         stats,
         cost,
         splitter,
-        epsilon,
     })
 }
 
@@ -1030,7 +1035,6 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         meta.cost,
         meta.seed,
         meta.splitter,
-        meta.epsilon,
         t0.elapsed(),
     ))
 }
@@ -1746,7 +1750,6 @@ mod tests {
         let bytes = save_query_tree(&tree);
         let short = with_meta(&bytes, |m| m.truncate(15 * 8));
         let loaded = load_query_tree::<2>(&short).unwrap();
-        assert_eq!(loaded.epsilon(), 0.0);
         assert_eq!(loaded.splitter(), tree.splitter());
         assert_eq!(served_rows(&loaded), served_rows(&tree));
     }

@@ -288,44 +288,6 @@ impl<const D: usize> SoaBalls<D> {
             }
         }
     }
-
-    /// ε-relaxed cover test. Same admitted set and order as
-    /// [`SoaBalls::filter_covering_into`] when `eps_scale == 1.0`.
-    ///
-    /// `eps_scale` is `1 / (1+ε)^2`: the relaxed predicate admits only
-    /// `dist_sq <= r^2 * eps_scale`. Returns the number of balls the exact
-    /// predicate admits but the relaxed one skips (the certificate's skip
-    /// count; always 0 at `eps_scale == 1.0`).
-    pub fn filter_covering_relaxed_into(
-        &self,
-        p: &Point<D>,
-        ids: &[u32],
-        open: bool,
-        eps_scale: f64,
-        scratch: &mut Vec<f64>,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        let relaxed = eps_scale < 1.0;
-        if !relaxed {
-            // Exact predicate: the byte-contract fast path.
-            self.filter_covering_into(p, ids, open, scratch, out);
-            return 0;
-        }
-        let mut eps_skips = 0;
-        self.centers.dist_sq_gather_into(p, ids, scratch);
-        for (j, &i) in ids.iter().enumerate() {
-            let r2 = self.radius_sq[i as usize];
-            let t = r2 * eps_scale;
-            let d = scratch[j];
-            let admit = if open { d < t } else { d <= t };
-            if admit {
-                out.push(i);
-            } else if if open { d < r2 } else { d <= r2 } {
-                eps_skips += 1;
-            }
-        }
-        eps_skips
-    }
 }
 
 #[cfg(test)]
@@ -440,51 +402,60 @@ mod tests {
         assert_eq!(bb.hi, want.hi);
     }
 
-    /// Checks that the relaxed filter at `eps_scale = 1.0` reproduces
-    /// `filter_covering_into` exactly, for both predicates.
-    fn assert_relaxed_matches_exact(balls: &SoaBalls<3>, probe: &Point<3>) {
+    /// Checks that the batched filter admits exactly the balls the scalar
+    /// `Ball` predicates admit, in id order, for both predicates.
+    fn assert_filter_matches_scalar(balls: &[Ball<3>], probe: &Point<3>) {
+        let soa = SoaBalls::from_balls(balls);
         let ids: Vec<u32> = (0..balls.len() as u32).collect();
         let mut scratch = Vec::new();
         for open in [false, true] {
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            balls.filter_covering_into(probe, &ids, open, &mut scratch, &mut want);
-            let skips =
-                balls.filter_covering_relaxed_into(probe, &ids, open, 1.0, &mut scratch, &mut got);
+            let mut got = Vec::new();
+            soa.filter_covering_into(probe, &ids, open, &mut scratch, &mut got);
+            let want: Vec<u32> = ids
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let b = &balls[i as usize];
+                    if open {
+                        b.contains_interior(probe)
+                    } else {
+                        b.contains(probe)
+                    }
+                })
+                .collect();
             assert_eq!(got, want, "open={open}");
-            assert_eq!(skips, 0, "open={open}");
         }
     }
 
     #[test]
-    fn relaxed_filter_zero_radius_balls() {
+    fn filter_zero_radius_balls() {
         // Zero-radius balls: closed admits only exact center hits, open
         // admits nothing. Probe coincident with one center.
         let centers = pts_3d(12);
         let probe = centers[5];
         let balls: Vec<Ball<3>> = centers.iter().map(|c| Ball::new(*c, 0.0)).collect();
         let soa = SoaBalls::from_balls(&balls);
-        assert_relaxed_matches_exact(&soa, &probe);
+        assert_filter_matches_scalar(&balls, &probe);
         let ids: Vec<u32> = (0..balls.len() as u32).collect();
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        soa.filter_covering_relaxed_into(&probe, &ids, false, 1.0, &mut scratch, &mut out);
+        soa.filter_covering_into(&probe, &ids, false, &mut scratch, &mut out);
         assert!(out.contains(&5));
         out.clear();
-        soa.filter_covering_relaxed_into(&probe, &ids, true, 1.0, &mut scratch, &mut out);
+        soa.filter_covering_into(&probe, &ids, true, &mut scratch, &mut out);
         assert!(out.is_empty(), "open predicate admits no zero-radius ball");
     }
 
     #[test]
-    fn relaxed_filter_coincident_center_and_probe() {
+    fn filter_coincident_center_and_probe() {
         // Every ball centered exactly on the probe: closed and open both
         // admit all positive radii; only closed admits the r = 0 ball.
         let probe = Point::from([0.125, -3.5, 7.0]);
         let balls: Vec<Ball<3>> = (0..10).map(|i| Ball::new(probe, i as f64)).collect();
-        let soa = SoaBalls::from_balls(&balls);
-        assert_relaxed_matches_exact(&soa, &probe);
+        assert_filter_matches_scalar(&balls, &probe);
     }
 
     #[test]
-    fn relaxed_filter_subnormal_radii() {
+    fn filter_subnormal_radii() {
         // Subnormal radii square to zero or subnormal f64 values.
         let tiny = f64::MIN_POSITIVE / 4.0; // subnormal
         let centers = [
@@ -499,32 +470,6 @@ mod tests {
             .enumerate()
             .map(|(i, c)| Ball::new(*c, if i == 3 { 2.0 } else { tiny }))
             .collect();
-        let soa = SoaBalls::from_balls(&balls);
-        assert_relaxed_matches_exact(&soa, &probe);
-    }
-
-    #[test]
-    fn relaxed_filter_counts_eps_skips_exactly() {
-        // Probe at distance 0.9r from each center: with eps_scale shrunk
-        // below (0.9)^2 the relaxed predicate must skip, and the skip is
-        // counted.
-        let balls: Vec<Ball<3>> = (0..6)
-            .map(|i| Ball::new(Point::from([i as f64 * 10.0, 0.0, 0.0]), 1.0))
-            .collect();
-        let soa = SoaBalls::from_balls(&balls);
-        let probe = Point::from([0.9, 0.0, 0.0]); // inside ball 0 only
-        let ids: Vec<u32> = (0..balls.len() as u32).collect();
-        let eps_scale = 0.5; // relaxed threshold r^2/2 < 0.81
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        let skips = soa.filter_covering_relaxed_into(
-            &probe,
-            &ids,
-            false,
-            eps_scale,
-            &mut scratch,
-            &mut out,
-        );
-        assert!(out.is_empty(), "relaxed filter must skip");
-        assert_eq!(skips, 1);
+        assert_filter_matches_scalar(&balls, &probe);
     }
 }

@@ -122,7 +122,6 @@ pub struct CostMeter {
     punt_candidates: AtomicU64,
     distance_evals: AtomicU64,
     correction_dist_evals: AtomicU64,
-    eps_skips: AtomicU64,
 }
 
 /// A point-in-time copy of a [`CostMeter`]'s counters.
@@ -150,8 +149,6 @@ pub struct MeterSnapshot {
     /// Distance evaluations spent on Fast-Correction candidates (a subset
     /// of [`MeterSnapshot::distance_evals`]).
     pub correction_dist_evals: u64,
-    /// Candidates skipped by the ε-relaxed predicates (zero in exact mode).
-    pub eps_skips: u64,
 }
 
 impl CostMeter {
@@ -211,11 +208,6 @@ impl CostMeter {
         self.correction_dist_evals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` candidates skipped by the ε-relaxed predicates.
-    pub fn add_eps_skips(&self, n: u64) {
-        self.eps_skips.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Copy out all counters.
     pub fn snapshot(&self) -> MeterSnapshot {
         MeterSnapshot {
@@ -229,7 +221,6 @@ impl CostMeter {
             punt_candidates: self.punt_candidates.load(Ordering::Relaxed),
             distance_evals: self.distance_evals.load(Ordering::Relaxed),
             correction_dist_evals: self.correction_dist_evals.load(Ordering::Relaxed),
-            eps_skips: self.eps_skips.load(Ordering::Relaxed),
         }
     }
 }
@@ -305,14 +296,6 @@ mod tests {
         let snap = meter.snapshot();
         assert_eq!(snap.separator_candidates, 8000);
         assert_eq!(snap.distance_evals, 24000);
-    }
-
-    #[test]
-    fn meter_eps_skips_accumulate() {
-        let meter = CostMeter::new();
-        meter.add_eps_skips(0);
-        meter.add_eps_skips(7);
-        assert_eq!(meter.snapshot().eps_skips, 7);
     }
 
     #[test]

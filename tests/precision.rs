@@ -1,16 +1,13 @@
-//! Oracle and certificate tests for the exact distance path and the
-//! opt-in (1+ε)-approximation mode.
+//! Oracle parity: every all-k-NN algorithm (§6 parallel, §5 simple) and
+//! the batch serving engine return exactly the answers an independent
+//! oracle computes, compared bit for bit (DESIGN.md §17).
 //!
-//! Two contracts are pinned here (DESIGN.md §17):
-//!
-//! 1. **Oracle parity.** With ε = 0, every all-k-NN algorithm (§6
-//!    parallel, §5 simple, kd-tree baseline) returns answers
-//!    byte-identical to the brute-force oracle, in 2-D and 3-D, and batch
-//!    serving returns exactly the balls a scalar scan says cover a probe —
-//!    including probes that sit on a ball's boundary.
-//! 2. **ε certificate.** With ε > 0 the answers may drift, but the drift
-//!    measured against the brute-force oracle stays within the certificate
-//!    bound: per-rank relative distance error ≤ ε and no short lists.
+//! * Below a few hundred points the oracle is brute force, in 2-D and
+//!   3-D, and the kd-tree baseline is checked against it too.
+//! * At 50 000–100 000 points brute force is out of reach, so the kd-tree
+//!   baseline is the oracle.
+//! * Serving returns exactly the balls a scalar scan says cover a probe,
+//!   including probes that sit on a ball's boundary.
 
 use proptest::prelude::*;
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
@@ -92,41 +89,9 @@ proptest! {
         let kd = try_kdtree_all_knn(&points, k).unwrap();
         prop_assert_eq!(fingerprint(&kd), oracle, "kd vs oracle");
     }
-
-    /// ε certificate: the approximate answers drift within the certified
-    /// bound against the brute-force oracle — per-rank relative distance
-    /// error ≤ ε, full-length lists, and the certificate's own exact-run
-    /// comparison is clean at ε = 0.
-    #[test]
-    fn epsilon_mode_error_is_bounded_and_certified(
-        n in 120usize..300,
-        seed in 0u64..1 << 40,
-    ) {
-        let eps = 0.5;
-        let points = Workload::Clusters.generate::<2>(n, seed);
-        let k = 3;
-        let cfg = KnnDcConfig::new(k).with_seed(seed).with_epsilon(eps);
-        let approx = parallel_knn::<2, 3>(&points, &cfg);
-        let oracle = brute_force_knn(&points, k);
-        let cert = approx.knn.error_certificate(&oracle);
-        prop_assert!(
-            cert.within(eps),
-            "certificate out of bound: max_rel_error {} short_ranks {}",
-            cert.max_rel_error, cert.short_ranks
-        );
-        prop_assert_eq!(cert.compared_entries, (n * k) as u64);
-
-        // ε = 0 in the same configuration is the exact path: certificate
-        // against the oracle is identically clean.
-        let exact = parallel_knn::<2, 3>(&points, &cfg.with_epsilon(0.0));
-        let clean = exact.knn.error_certificate(&oracle);
-        prop_assert_eq!(clean.max_rel_error, 0.0);
-        prop_assert_eq!(clean.mismatched_entries, 0);
-        prop_assert_eq!(clean.short_ranks, 0);
-    }
 }
 
-/// Serving at ε = 0 is an exact cover query: for both predicates, the
+/// Serving is an exact cover query: for both predicates, the
 /// hits of every probe are exactly the balls whose scalar
 /// `contains`/`contains_interior` test accepts it. The data points are
 /// among the probes, so each k-NN ball has its k-th neighbour on (or
@@ -149,7 +114,6 @@ fn serving_matches_scalar_cover_scan_on_boundaries() {
                 .try_serve(&probes, pred, &ServeConfig::default())
                 .unwrap();
             totals.push(out.result.total_hits());
-            assert_eq!(out.stats.eps_skips, 0, "{:?}: ε = 0 skipped a ball", w);
             for (i, p) in probes.iter().enumerate() {
                 let mut got = out.result.hits(i).to_vec();
                 got.sort_unstable();
@@ -168,32 +132,29 @@ fn serving_matches_scalar_cover_scan_on_boundaries() {
     }
 }
 
-/// ε-mode must actually *use* its freedom somewhere: across a seed sweep
-/// the certificate is nonzero at least once (the relaxation changed an
-/// answer) while every run stays within the bound. A sweep (rather than
-/// one pinned seed) keeps the test robust to splitter evolution.
+/// Asserts that the §6 and §5 recursions match the kd-tree oracle bit
+/// for bit on `points` (2-D, `k` neighbours, seeded with `seed`).
+fn assert_matches_kdtree_oracle(points: &[sepdc::geom::Point<2>], k: usize, seed: u64) {
+    let cfg = KnnDcConfig::new(k).with_seed(seed);
+    let oracle = fingerprint(&try_kdtree_all_knn(points, k).unwrap());
+    let s6 = parallel_knn::<2, 3>(points, &cfg);
+    assert!(fingerprint(&s6.knn) == oracle, "§6 vs kd oracle");
+    let s5 = simple_parallel_knn::<2, 3>(points, &cfg);
+    assert!(fingerprint(&s5.knn) == oracle, "§5 vs kd oracle");
+}
+
+/// Oracle parity beyond brute force's reach: the ROADMAP acceptance
+/// shape, uniform cube 2-D at n = 100 000, k = 4.
 #[test]
-fn epsilon_mode_produces_nonzero_bounded_certificates() {
-    let eps = 0.5;
-    let k = 4;
-    let mut saw_drift = false;
-    for seed in 0..24u64 {
-        let points = Workload::Clusters.generate::<2>(500, seed);
-        let cfg = KnnDcConfig::new(k).with_seed(seed).with_epsilon(eps);
-        let approx = parallel_knn::<2, 3>(&points, &cfg);
-        let oracle = brute_force_knn(&points, k);
-        let cert = approx.knn.error_certificate(&oracle);
-        assert!(
-            cert.within(eps),
-            "seed {seed}: certificate out of bound: {cert:?}"
-        );
-        if cert.max_rel_error > 0.0 {
-            saw_drift = true;
-        }
-    }
-    assert!(
-        saw_drift,
-        "ε = {eps} never changed any answer across the sweep — the \
-         relaxation is not exercising its freedom"
-    );
+fn uniform_100k_matches_kdtree_oracle() {
+    let points = Workload::UniformCube.generate::<2>(100_000, 7);
+    assert_matches_kdtree_oracle(&points, 4, 7);
+}
+
+/// Oracle parity beyond brute force's reach on the clustered shape with
+/// fat, overlapping balls: clusters 2-D at n = 50 000, k = 16.
+#[test]
+fn clusters_50k_k16_matches_kdtree_oracle() {
+    let points = Workload::Clusters.generate::<2>(50_000, 11);
+    assert_matches_kdtree_oracle(&points, 16, 11);
 }

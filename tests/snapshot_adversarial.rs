@@ -10,9 +10,10 @@ use proptest::prelude::*;
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
 use sepdc::core::snapshot::{self, HEADER_LEN, TABLE_ENTRY_LEN};
 use sepdc::core::{
-    kdtree_all_knn, load_partition_tree, load_query_tree, parallel_knn, save_partition_tree,
-    save_query_tree, KnnDcConfig, NeighborhoodSystem, QueryTree, QueryTreeConfig, SepdcError,
-    SnapshotError, SNAPSHOT_VERSION,
+    kdtree_all_knn, load_partition_tree, load_query_tree, load_sharded_index, parallel_knn,
+    save_partition_tree, save_query_tree, save_sharded_index, KnnDcConfig, NeighborhoodSystem,
+    QueryTree, QueryTreeConfig, SepdcError, ShardedConfig, ShardedIndex, SnapshotError,
+    SNAPSHOT_VERSION,
 };
 use sepdc::workloads::Workload;
 
@@ -183,6 +184,63 @@ fn resealed_huge_array_length_cannot_allocate() {
         panic!("{err:?}");
     };
     assert!(detail.contains("exceeds section size"), "{detail}");
+}
+
+/// Overwrite `META` word 17 of the query-tree container `bytes` with `v`
+/// and reseal it. The word must currently hold the bits of `0.0`.
+fn patch_meta_word_17(bytes: &mut [u8], v: u64) {
+    let (_, body) = find_section(bytes, b"META");
+    assert_eq!(body.len(), 17 * 8, "META holds 17 words");
+    let word = body.start + 16 * 8..body.start + 17 * 8;
+    assert_eq!(bytes[word.clone()], 0.0f64.to_bits().to_le_bytes());
+    bytes[word].copy_from_slice(&v.to_le_bytes());
+    reseal(bytes, b"META");
+}
+
+#[test]
+fn resealed_nonzero_meta_word_17_is_corrupt() {
+    // Word 17 once held a (1+ε) cover relaxation and is reserved now. A
+    // snapshot built with ε = 0.5 must fail to load, not silently serve
+    // exact answers in place of the relaxed ones it was built for.
+    let eps = 0.5f64.to_bits();
+    let mut bytes = fixture_bytes();
+    patch_meta_word_17(&mut bytes, eps);
+    let err = load_query_tree::<2>(&bytes).map(drop).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            SepdcError::Snapshot(SnapshotError::Corrupt { tag: "META", .. })
+        ),
+        "{err:?}"
+    );
+
+    // The sharded loader decodes every shard through the same META
+    // validation and reports the shard it came from.
+    let pts = Workload::Clusters.generate::<2>(300, 11);
+    let sys = NeighborhoodSystem::from_knn(&pts, &kdtree_all_knn(&pts, 2));
+    let cfg = ShardedConfig {
+        staging_cap: 64,
+        tree: QueryTreeConfig::default(),
+    };
+    let index = ShardedIndex::from_balls::<3>(sys.balls(), cfg, 11).unwrap();
+    let mut bytes = save_sharded_index(&index);
+    // SHRD body: u64 shard count, then per shard a u64 slot, a u64 nested
+    // length and a complete kind-1 container.
+    let (_, shrd) = find_section(&bytes, b"SHRD");
+    let len_at = shrd.start + 16;
+    let nested_len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
+    let nested = len_at + 8..len_at + 8 + nested_len;
+    patch_meta_word_17(&mut bytes[nested], eps);
+    reseal(&mut bytes, b"SHRD");
+    let err = load_sharded_index::<2>(&bytes).map(drop).unwrap_err();
+    let SepdcError::Snapshot(SnapshotError::Corrupt {
+        tag: "SHRD",
+        detail,
+    }) = &err
+    else {
+        panic!("{err:?}");
+    };
+    assert!(detail.contains("META"), "{detail}");
 }
 
 #[test]
