@@ -10,7 +10,7 @@ use sepdc_core::snapshot::{self, SnapshotKind};
 use sepdc_core::{
     kdtree_all_knn, try_brute_force_knn, try_kdtree_all_knn, try_parallel_knn,
     try_simple_parallel_knn, KnnDcConfig, KnnGraph, KnnResult, NeighborhoodSystem, QueryTree,
-    QueryTreeConfig, RunReport, SepdcError, ShardedConfig, ShardedIndex, SplitterKind,
+    QueryTreeConfig, RunReport, SepdcError, ShardedConfig, ShardedIndex,
 };
 use sepdc_separator::{find_good_separator, SeparatorConfig};
 use sepdc_workloads::Workload;
@@ -31,13 +31,6 @@ macro_rules! with_dim {
             d => Err(format!("unsupported dimension {d} (supported: 1..=5)")),
         }
     };
-}
-
-/// Parse a `--splitter` flag value into a [`SplitterKind`], with the valid
-/// names listed in the error.
-pub fn splitter_by_name(name: &str) -> CliResult<SplitterKind> {
-    SplitterKind::parse(name)
-        .ok_or_else(|| format!("unknown splitter '{name}' (available: random, halving, graph)"))
 }
 
 fn workload_by_name(name: &str) -> CliResult<Workload> {
@@ -82,7 +75,6 @@ pub fn knn(
     k: usize,
     algo: &str,
     seed: u64,
-    splitter: SplitterKind,
 ) -> CliResult<KnnCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     fn run<const D: usize, const E: usize>(
@@ -90,7 +82,6 @@ pub fn knn(
         k: usize,
         algo: &str,
         seed: u64,
-        splitter: SplitterKind,
     ) -> CliResult<KnnCommandOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
@@ -98,7 +89,7 @@ pub fn knn(
             // point file at the CLI boundary is a user mistake.
             return Err(SepdcError::EmptyInput.to_string());
         }
-        let cfg = KnnDcConfig::new(k).with_seed(seed).with_splitter(splitter);
+        let cfg = KnnDcConfig::new(k).with_seed(seed);
         let t0 = std::time::Instant::now();
         // All algorithms run through their `try_*` variants: NaN-poisoned
         // files, `k = 0`, and any other invalid input surface as the typed
@@ -166,7 +157,7 @@ pub fn knn(
             report_json,
         })
     }
-    with_dim!(dim, run(input, k, algo, seed, splitter))
+    with_dim!(dim, run(input, k, algo, seed))
 }
 
 /// Output of the `query` command.
@@ -199,7 +190,6 @@ pub fn query(
     interior: bool,
     seed: u64,
     chunk: usize,
-    splitter: SplitterKind,
 ) -> CliResult<QueryCommandOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     let probe_w = workload_by_name(probe_workload)?;
@@ -213,7 +203,6 @@ pub fn query(
         interior: bool,
         seed: u64,
         chunk: usize,
-        splitter: SplitterKind,
     ) -> CliResult<QueryCommandOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
@@ -226,12 +215,8 @@ pub fn query(
         let t_build = std::time::Instant::now();
         let knn = try_kdtree_all_knn(&points, k).map_err(|e| e.to_string())?;
         let system = NeighborhoodSystem::from_knn(&points, &knn);
-        let tree_cfg = QueryTreeConfig {
-            splitter,
-            ..QueryTreeConfig::default()
-        };
-        let tree =
-            QueryTree::try_build::<E>(system.balls(), tree_cfg, seed).map_err(|e| e.to_string())?;
+        let tree = QueryTree::try_build::<E>(system.balls(), QueryTreeConfig::default(), seed)
+            .map_err(|e| e.to_string())?;
         let build_s = t_build.elapsed().as_secs_f64();
         let pred = if interior {
             CoverPredicate::Open
@@ -285,8 +270,7 @@ pub fn query(
             probe_n,
             interior,
             seed,
-            chunk,
-            splitter
+            chunk
         )
     )
 }
@@ -318,7 +302,6 @@ pub fn index_build(
     k: usize,
     seed: u64,
     sharded: Option<usize>,
-    splitter: SplitterKind,
 ) -> CliResult<IndexBuildOutput> {
     let dim = resolve_dim(input, dim_flag)?;
     fn run<const D: usize, const E: usize>(
@@ -326,16 +309,12 @@ pub fn index_build(
         k: usize,
         seed: u64,
         sharded: Option<usize>,
-        splitter: SplitterKind,
     ) -> CliResult<IndexBuildOutput> {
         let points = parse_points::<D>(input)?;
         if points.is_empty() {
             return Err(SepdcError::EmptyInput.to_string());
         }
-        let tree_cfg = QueryTreeConfig {
-            splitter,
-            ..QueryTreeConfig::default()
-        };
+        let tree_cfg = QueryTreeConfig::default();
         let t0 = std::time::Instant::now();
         let knn = try_kdtree_all_knn(&points, k).map_err(|e| e.to_string())?;
         let system = NeighborhoodSystem::from_knn(&points, &knn);
@@ -366,17 +345,16 @@ pub fn index_build(
         let snapshot = snapshot::save_query_tree(&tree);
         let stats = tree.stats();
         let summary = format!(
-            "indexed {} balls (d={D}, k={k}, seed {seed}, splitter {}) in {build_ms:.1} ms: \
+            "indexed {} balls (d={D}, k={k}, seed {seed}) in {build_ms:.1} ms: \
              height {}, {} leaves, snapshot {} bytes",
             tree.len(),
-            splitter.name(),
             stats.height,
             stats.leaves,
             snapshot.len(),
         );
         Ok(IndexBuildOutput { snapshot, summary })
     }
-    with_dim!(dim, run(input, k, seed, sharded, splitter))
+    with_dim!(dim, run(input, k, seed, sharded))
 }
 
 /// `index inspect`: print a snapshot's header and section table, then
@@ -406,7 +384,7 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                 let s = tree.stats();
                 Ok(format!(
                     "query-tree: {} balls, height {}, {} leaves, {} internals, \
-                     {} stored refs, seed {}, splitter {}; \
+                     {} stored refs, seed {}; \
                      loaded + validated in {:.1} ms\n",
                     tree.len(),
                     s.height,
@@ -414,22 +392,7 @@ pub fn index_inspect(bytes: &[u8]) -> CliResult<String> {
                     s.internals,
                     s.stored_balls,
                     tree.run_report().seed,
-                    tree.splitter().name(),
                     t0.elapsed().as_secs_f64() * 1e3,
-                ))
-            }
-            with_dim!(info.dim as usize, load(bytes))?
-        }
-        SnapshotKind::PartitionTree => {
-            fn load<const D: usize, const E: usize>(bytes: &[u8]) -> CliResult<String> {
-                let tree = snapshot::load_partition_tree::<D>(bytes).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "partition-tree: {} nodes, {} leaves, height {}, {} points, bounds: {}\n",
-                    tree.nodes().len(),
-                    tree.leaves(),
-                    tree.height(),
-                    tree.perm().len(),
-                    tree.bounds().is_some(),
                 ))
             }
             with_dim!(info.dim as usize, load(bytes))?
@@ -542,11 +505,11 @@ mod tests {
     #[test]
     fn generate_then_knn_roundtrip() {
         let pts = generate("uniform-cube", 200, 2, 7).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 1, SplitterKind::Random).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 1).unwrap();
         assert!(out.summary.contains("200 points (d=2)"));
         assert!(out.edges_csv.lines().count() > 200);
         // Same input through the oracle gives the same edge count.
-        let oracle = knn(&pts, Some(2), 2, "brute", 1, SplitterKind::Random).unwrap();
+        let oracle = knn(&pts, Some(2), 2, "brute", 1).unwrap();
         assert_eq!(
             out.edges_csv.lines().count(),
             oracle.edges_csv.lines().count()
@@ -558,7 +521,7 @@ mod tests {
         let pts = generate("clusters", 150, 3, 3).unwrap();
         let mut counts = Vec::new();
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let out = knn(&pts, None, 1, algo, 5, SplitterKind::Random).unwrap();
+            let out = knn(&pts, None, 1, algo, 5).unwrap();
             counts.push(out.edges_csv.lines().count());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -567,7 +530,7 @@ mod tests {
     #[test]
     fn dimension_sniffing() {
         let pts = generate("uniform-cube", 50, 4, 1).unwrap();
-        let out = knn(&pts, None, 1, "kdtree", 1, SplitterKind::Random).unwrap();
+        let out = knn(&pts, None, 1, "kdtree", 1).unwrap();
         assert!(out.summary.contains("(d=4)"));
     }
 
@@ -577,7 +540,7 @@ mod tests {
             .unwrap_err()
             .contains("available"));
         let pts = generate("grid", 30, 2, 1).unwrap();
-        assert!(knn(&pts, None, 1, "nope", 1, SplitterKind::Random).is_err());
+        assert!(knn(&pts, None, 1, "nope", 1).is_err());
     }
 
     #[test]
@@ -608,7 +571,7 @@ mod tests {
         // Satellite fix: degenerate splits, depth-capped leaves, and punt
         // counters used to be computed and then dropped on the floor.
         let pts = generate("uniform-cube", 400, 2, 9).unwrap();
-        let out = knn(&pts, None, 2, "parallel", 3, SplitterKind::Random).unwrap();
+        let out = knn(&pts, None, 2, "parallel", 3).unwrap();
         for needle in [
             "fast",
             "punts",
@@ -623,16 +586,16 @@ mod tests {
         ] {
             assert!(out.summary.contains(needle), "{}", out.summary);
         }
-        let simple = knn(&pts, None, 2, "simple", 3, SplitterKind::Random).unwrap();
+        let simple = knn(&pts, None, 2, "simple", 3).unwrap();
         for needle in ["forced leaves", "degenerate splits", "depth-capped"] {
             assert!(simple.summary.contains(needle), "{}", simple.summary);
         }
         // The brute/kdtree paths have no instrumented recursion.
-        assert!(knn(&pts, None, 2, "brute", 3, SplitterKind::Random)
+        assert!(knn(&pts, None, 2, "brute", 3)
             .unwrap()
             .report_json
             .is_none());
-        assert!(knn(&pts, None, 2, "kdtree", 3, SplitterKind::Random)
+        assert!(knn(&pts, None, 2, "kdtree", 3)
             .unwrap()
             .report_json
             .is_none());
@@ -642,7 +605,7 @@ mod tests {
     fn knn_report_json_is_a_valid_run_report() {
         let pts = generate("clusters", 300, 3, 2).unwrap();
         for (algo, name) in [("parallel", "parallel"), ("simple", "simple")] {
-            let out = knn(&pts, None, 2, algo, 7, SplitterKind::Random).unwrap();
+            let out = knn(&pts, None, 2, algo, 7).unwrap();
             let json = out.report_json.as_deref().expect(algo);
             let rep = RunReport::from_json(json).unwrap();
             assert_eq!(rep.algo, name);
@@ -657,19 +620,7 @@ mod tests {
     #[test]
     fn query_serves_probes_and_reports() {
         let pts = generate("uniform-cube", 300, 2, 11).unwrap();
-        let out = query(
-            &pts,
-            None,
-            2,
-            None,
-            "uniform-cube",
-            100,
-            false,
-            11,
-            32,
-            SplitterKind::Random,
-        )
-        .unwrap();
+        let out = query(&pts, None, 2, None, "uniform-cube", 100, false, 11, 32).unwrap();
         assert!(out.summary.contains("served 100 probes"), "{}", out.summary);
         assert!(out.summary.contains("closed predicate"), "{}", out.summary);
         // Header + one row per probe.
@@ -684,19 +635,7 @@ mod tests {
     fn query_hits_match_pointwise_interior() {
         let pts_csv = generate("clusters", 200, 2, 5).unwrap();
         let probes_csv = generate("uniform-cube", 60, 2, 6).unwrap();
-        let out = query(
-            &pts_csv,
-            None,
-            1,
-            Some(&probes_csv),
-            "grid",
-            0,
-            true,
-            5,
-            7,
-            SplitterKind::Random,
-        )
-        .unwrap();
+        let out = query(&pts_csv, None, 1, Some(&probes_csv), "grid", 0, true, 5, 7).unwrap();
         assert!(out.summary.contains("open predicate"), "{}", out.summary);
         // Rebuild the same structures directly; every CSV row must equal
         // the pointwise interior query.
@@ -737,31 +676,18 @@ mod tests {
             false,
             1,
             8,
-            SplitterKind::Random,
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         // A zero chunk size is a typed config error from the serve engine.
-        let err = query(
-            &pts,
-            None,
-            1,
-            None,
-            "uniform-cube",
-            10,
-            false,
-            1,
-            0,
-            SplitterKind::Random,
-        )
-        .unwrap_err();
+        let err = query(&pts, None, 1, None, "uniform-cube", 10, false, 1, 0).unwrap_err();
         assert!(err.contains("serve.chunk_size"), "{err}");
     }
 
     #[test]
     fn report_pretty_printer_round_trip() {
         let pts = generate("uniform-cube", 250, 2, 4).unwrap();
-        let out = knn(&pts, None, 1, "parallel", 6, SplitterKind::Random).unwrap();
+        let out = knn(&pts, None, 1, "parallel", 6).unwrap();
         let rendered = report(out.report_json.as_deref().unwrap()).unwrap();
         assert!(rendered.contains("run report v1"), "{rendered}");
         assert!(rendered.contains("phase timings"), "{rendered}");
@@ -777,10 +703,10 @@ mod tests {
         let pts = generate("grid", 20, 2, 1).unwrap();
         // `k = 0` and empty inputs map to the typed SepdcError messages.
         for algo in ["parallel", "simple", "kdtree", "brute"] {
-            let err = knn(&pts, None, 0, algo, 1, SplitterKind::Random).unwrap_err();
+            let err = knn(&pts, None, 0, algo, 1).unwrap_err();
             assert!(err.contains("invalid k = 0"), "{algo}: {err}");
         }
-        let err = knn("", Some(2), 1, "brute", 1, SplitterKind::Random).unwrap_err();
+        let err = knn("", Some(2), 1, "brute", 1).unwrap_err();
         assert!(err.contains("empty"), "{err}");
     }
 
@@ -789,7 +715,7 @@ mod tests {
         // NaN/inf coordinates are stopped at parse time with a line number,
         // so the algorithms only ever see finite points from the CLI.
         for poisoned in ["0.5,0.5\nNaN,0.25\n", "0.5,0.5\n0.25,inf\n"] {
-            let err = knn(poisoned, None, 1, "parallel", 1, SplitterKind::Random).unwrap_err();
+            let err = knn(poisoned, None, 1, "parallel", 1).unwrap_err();
             assert!(err.contains("non-finite"), "{err}");
             assert!(err.contains("line 2"), "{err}");
         }

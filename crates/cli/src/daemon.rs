@@ -24,7 +24,7 @@
 //!   serving on failure; in-flight batches finish on the generation they
 //!   started with — old generations drain as their handles drop).
 //! * **`stats`** — `ok generation=G n=N dim=D probes=P batches=B swaps=S
-//!   kind=K splitter=NAME`.
+//!   kind=K`.
 //! * **`quit`** — `ok bye`, then exit. EOF on stdin also exits.
 //! * Blank lines and `#` comments are ignored without a response, so a
 //!   generated point file can be piped in unmodified.
@@ -135,15 +135,6 @@ impl<const D: usize> ServingIndex<D> {
         }
     }
 
-    /// Name of the split-decision backend the served structure was (and,
-    /// for sharded indices, future rebuilds will be) built with.
-    fn splitter_name(&self) -> &'static str {
-        match self {
-            ServingIndex::Single(tree) => tree.splitter().name(),
-            ServingIndex::Sharded(index) => index.config().tree.splitter.name(),
-        }
-    }
-
     /// Serve one admission batch, returning a `count,id id…` row per
     /// probe. Both arms ride the deterministic CSR engine; the sharded
     /// arm scatters across shards and gathers ascending by global id,
@@ -183,10 +174,6 @@ fn load_serving<const D: usize>(bytes: &[u8]) -> Result<ServingIndex<D>, String>
         SnapshotKind::ShardedIndex => snapshot::load_sharded_index::<D>(bytes)
             .map(ServingIndex::Sharded)
             .map_err(|e| e.to_string()),
-        SnapshotKind::PartitionTree => Err(format!(
-            "holds a {}, the daemon serves query-tree or sharded-index snapshots",
-            info.kind.name()
-        )),
     }
 }
 
@@ -338,11 +325,10 @@ fn serve_loop<const D: usize, const E: usize>(
     {
         let gen = cell.current();
         eprintln!(
-            "sepdc serve: {} balls (dim {D}, {}, splitter {}), generation {}, \
+            "sepdc serve: {} balls (dim {D}, {}), generation {}, \
              {} predicate, chunk {}, admission cap {cap}",
             gen.index.len(),
             gen.index.kind_name(),
-            gen.index.splitter_name(),
             gen.number,
             pred.name(),
             serve_cfg.chunk_size,
@@ -469,15 +455,13 @@ fn serve_loop<const D: usize, const E: usize>(
                     let gen = cell.current();
                     writeln!(
                         out,
-                        "ok generation={} n={} dim={D} probes={} batches={} swaps={} kind={} \
-                         splitter={}",
+                        "ok generation={} n={} dim={D} probes={} batches={} swaps={} kind={}",
                         gen.number,
                         gen.index.len(),
                         stats.probes,
                         stats.batches,
                         stats.swaps,
                         gen.index.kind_name(),
-                        gen.index.splitter_name(),
                     )
                     .is_ok()
                 }
@@ -576,7 +560,6 @@ fn serve_loop<const D: usize, const E: usize>(
 mod tests {
     use super::*;
     use crate::commands;
-    use sepdc_core::SplitterKind;
     use std::io::Cursor;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -594,8 +577,7 @@ mod tests {
     ) -> (String, String, Vec<String>) {
         let pts = commands::generate("uniform-cube", 400, 2, 3).unwrap();
         let probes = commands::generate("clusters", 120, 2, 9).unwrap();
-        let built =
-            commands::index_build(&pts, Some(2), 2, 5, staging, SplitterKind::Random).unwrap();
+        let built = commands::index_build(&pts, Some(2), 2, 5, staging).unwrap();
         let snap = dir.join("index.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let q = commands::query(
@@ -608,7 +590,6 @@ mod tests {
             false,
             5,
             1024,
-            SplitterKind::Random,
         )
         .unwrap();
         let rows: Vec<String> = q
@@ -674,8 +655,7 @@ mod tests {
         let (snap, _, _) = fixture(&dir);
         // A second, different snapshot to swap in.
         let pts2 = commands::generate("grid", 200, 2, 21).unwrap();
-        let built2 =
-            commands::index_build(&pts2, Some(2), 2, 5, None, SplitterKind::Random).unwrap();
+        let built2 = commands::index_build(&pts2, Some(2), 2, 5, None).unwrap();
         let snap2 = dir.join("index2.snap");
         std::fs::write(&snap2, &built2.snapshot).unwrap();
         // A corrupt file the swap must reject while the old index serves on.
@@ -718,8 +698,7 @@ mod tests {
         let dir = tmpdir("dim");
         let (snap, _, _) = fixture(&dir);
         let pts3 = commands::generate("uniform-cube", 100, 3, 4).unwrap();
-        let built3 =
-            commands::index_build(&pts3, Some(3), 2, 5, None, SplitterKind::Random).unwrap();
+        let built3 = commands::index_build(&pts3, Some(3), 2, 5, None).unwrap();
         let snap3 = dir.join("index3.snap");
         std::fs::write(&snap3, &built3.snapshot).unwrap();
         let input = format!("swap {}\nstats\n", snap3.display());
@@ -862,8 +841,7 @@ mod tests {
         // Tiny staging capacity: build leaves staging nearly full, so a
         // couple of inserts force a carry (shard rebuild) mid-session.
         let pts = commands::generate("uniform-cube", 40, 2, 3).unwrap();
-        let built =
-            commands::index_build(&pts, Some(2), 1, 5, Some(4), SplitterKind::Random).unwrap();
+        let built = commands::index_build(&pts, Some(2), 1, 5, Some(4)).unwrap();
         let snap = dir.join("tiny.snap");
         std::fs::write(&snap, &built.snapshot).unwrap();
         let input = "insert 9,9,0.5\ninsert 9.1,9.1,0.5\ninsert 9.2,9.2,0.5\n\

@@ -30,21 +30,22 @@ fn unknown_command_fails_with_message() {
 
 #[test]
 fn precision_flag_is_rejected() {
-    // Exact f64 distances and exact answers are the only contract; the old
-    // tier and (1+ε) flags are unknown on every command that took them.
+    // Exact f64 distances, exact answers and the paper's sphere search are
+    // the only contract; the old tier, (1+ε) and split-backend flags are
+    // unknown on every command that took them.
     let dir = tmpdir("precision_flag");
     let pts = dir.join("pts.csv");
     std::fs::write(&pts, "0.0,0.0\n1.0,0.0\n0.0,1.0\n").unwrap();
     let snap = dir.join("index.snap");
-    let cases: [(&[&str], &str, &str); 4] = [
+    let build: &[&str] = &["index", "build", "--out", snap.to_str().unwrap()];
+    let cases: [(&[&str], &str, &str); 7] = [
         (&["knn"], "precision", "mixed"),
         (&["knn"], "epsilon", "0.25"),
         (&["query"], "epsilon", "0.5"),
-        (
-            &["index", "build", "--out", snap.to_str().unwrap()],
-            "epsilon",
-            "0.25",
-        ),
+        (build, "epsilon", "0.25"),
+        (&["knn"], "splitter", "random"),
+        (&["query"], "splitter", "random"),
+        (build, "splitter", "random"),
     ];
     for (cmd, flag, value) in cases {
         let out = bin()

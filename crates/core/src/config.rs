@@ -2,7 +2,6 @@
 
 use crate::error::SepdcError;
 use crate::query::QueryTreeConfig;
-use crate::splitter::SplitterKind;
 use sepdc_separator::SeparatorConfig;
 
 /// Shared configuration of the Section 5 and Section 6 algorithms.
@@ -35,10 +34,6 @@ pub struct KnnDcConfig {
     pub marching_slack: f64,
     /// Separator search configuration for the partition steps.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend drives the partition steps
-    /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
-    /// paper's engine, byte-identical to the pre-trait implementation.
-    pub splitter: SplitterKind,
     /// Query-structure configuration for the punt path.
     pub query: QueryTreeConfig,
     /// Subtree size below which recursion stops forking rayon tasks.
@@ -121,7 +116,6 @@ impl KnnDcConfig {
             eta: 0.3,
             marching_slack: 8.0,
             separator: SeparatorConfig::default(),
-            splitter: SplitterKind::Random,
             query: QueryTreeConfig::default(),
             parallel_cutoff: 2048,
             max_depth: None,
@@ -133,14 +127,6 @@ impl KnnDcConfig {
     /// With a specific seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// With a specific split-decision backend, applied to both the main
-    /// recursion and the punt-path query structure.
-    pub fn with_splitter(mut self, kind: SplitterKind) -> Self {
-        self.splitter = kind;
-        self.query.splitter = kind;
         self
     }
 
@@ -395,15 +381,6 @@ mod tests {
         let mut query_bad = base;
         query_bad.query.leaf_size = 0;
         assert!(query_bad.validate().is_err());
-    }
-
-    #[test]
-    fn with_splitter_sets_both_layers() {
-        let cfg = KnnDcConfig::new(1).with_splitter(SplitterKind::Halving);
-        assert_eq!(cfg.splitter, SplitterKind::Halving);
-        assert_eq!(cfg.query.splitter, SplitterKind::Halving);
-        // Default stays the paper's engine.
-        assert_eq!(KnnDcConfig::new(1).splitter, SplitterKind::Random);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use crate::graph::KnnGraph;
 use rand::Rng;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
-use sepdc_geom::Sphere;
-use sepdc_separator::quality::is_good_point_split;
-use sepdc_separator::{find_good_separator, split_counts, SeparatorConfig, SplitCounts};
+use sepdc_separator::{find_good_separator, SeparatorConfig};
 
 /// A vertex separator of a k-NN graph derived from a geometric separator.
 #[derive(Clone, Debug)]
@@ -189,225 +187,6 @@ pub fn recursive_bisection<const D: usize, const E: usize, R: Rng>(
     (block, cut)
 }
 
-/// Upper bound on the grid resolution per axis: `1024^5 < 2^50`, so cell
-/// keys fit a `u64` for every supported dimension.
-const GRID_MAX_RES: u64 = 1024;
-
-/// A separator found by BFS layering of the sparse intersection graph,
-/// together with the evidence the caller's accounting wants.
-#[derive(Clone, Debug)]
-pub struct GridBfsSeparator<const D: usize> {
-    /// The accepted sphere separator.
-    pub separator: Separator<D>,
-    /// How the accepted sphere partitions the input points.
-    pub counts: SplitCounts,
-    /// Number of candidate level sets scored against the tol gate,
-    /// including the accepted one.
-    pub attempts: usize,
-}
-
-/// Deterministic BFS/greedy sphere separator over the sparse intersection
-/// graph — the `graph` splitter backend's engine.
-///
-/// Fox–Tidor-style intersection-graph separator theory says sparse
-/// ball-intersection graphs of bounded-ply point sets have small
-/// separators reachable by purely combinatorial means. This routine works
-/// on the standard proxy for the unit-distance intersection graph: points
-/// are bucketed into a `g^D` grid (`g ≈ n^{1/D}`), two occupied cells are
-/// adjacent when they touch (the `3^D - 1` king-move neighborhood), and
-/// BFS from the smallest occupied cell layers the graph into level sets
-/// (restarting at the smallest unvisited cell with the level counter
-/// carried forward, so disconnected components layer consecutively).
-/// Each BFS level `L` induces a candidate sphere centered at the
-/// lexicographically smallest source-cell point with radius equal to the
-/// largest distance of any level-`≤ L` point; candidates are scored
-/// greedily in order of balance (`|inside − n/2|` ascending, ties to the
-/// smaller level) against the usual tol gate, and the first acceptable
-/// sphere wins.
-///
-/// The whole pipeline is seed-free and order-independent (sorting by cell
-/// key, lexicographic source selection), so the result is a pure function
-/// of the point multiset and `cfg` — BFS over cells rather than points
-/// also keeps the cost `O(n log n)` even when the intersection graph
-/// itself is dense (e.g. every point coincident).
-///
-/// Returns `None` when fewer than two cells are occupied or no level set
-/// passes the tol gate; callers fall back to a deterministic halving cut.
-pub fn grid_bfs_separator<const D: usize>(
-    points: &[Point<D>],
-    cfg: &SeparatorConfig,
-) -> Option<GridBfsSeparator<D>> {
-    let n = points.len();
-    if n < 2 {
-        return None;
-    }
-    let mut lo = points[0];
-    let mut hi = points[0];
-    for p in points {
-        lo = lo.min(p);
-        hi = hi.max(p);
-    }
-    if (0..D).all(|d| hi[d] - lo[d] <= 0.0) {
-        return None; // every point identical: nothing separates
-    }
-    let g = ((n as f64).powf(1.0 / D as f64).ceil() as u64).clamp(2, GRID_MAX_RES);
-    let encode = |idx: &[u64; D]| -> u64 {
-        let mut key = 0u64;
-        for d in (0..D).rev() {
-            key = key * g + idx[d];
-        }
-        key
-    };
-    let cell_of = |p: &Point<D>| -> u64 {
-        let mut idx = [0u64; D];
-        for d in 0..D {
-            let ext = hi[d] - lo[d];
-            if ext > 0.0 {
-                idx[d] = (((p[d] - lo[d]) / ext * g as f64) as u64).min(g - 1);
-            }
-        }
-        encode(&idx)
-    };
-    // Bucket points into occupied cells, sorted by key: the deterministic
-    // sparse representation of the grid graph.
-    let mut pairs: Vec<(u64, u32)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (cell_of(p), i as u32))
-        .collect();
-    pairs.sort_unstable();
-    let mut cells: Vec<u64> = Vec::new();
-    let mut cell_start: Vec<usize> = Vec::new();
-    for (i, &(key, _)) in pairs.iter().enumerate() {
-        if cells.last() != Some(&key) {
-            cells.push(key);
-            cell_start.push(i);
-        }
-    }
-    cell_start.push(pairs.len());
-    let n_cells = cells.len();
-    if n_cells < 2 {
-        return None; // one occupied cell: the grid cannot layer it
-    }
-    // BFS over occupied cells from the smallest key; neighbors are the
-    // 3^D - 1 touching cells, located by binary search.
-    let decode = |mut key: u64| -> [u64; D] {
-        let mut idx = [0u64; D];
-        for slot in idx.iter_mut() {
-            *slot = key % g;
-            key /= g;
-        }
-        idx
-    };
-    let pow3 = 3u64.pow(D as u32);
-    let center_t = (pow3 - 1) / 2; // the all-ones digit string: zero offset
-    let mut level = vec![u32::MAX; n_cells];
-    let mut lvl = 0u32;
-    let mut next_source = 0usize;
-    // Multi-source BFS: when a connected component of the cell graph is
-    // exhausted (e.g. well-separated clusters), restart at the smallest
-    // unvisited cell key with the level counter carried forward, so every
-    // component gets its own contiguous band of layers instead of
-    // collapsing into a single outermost shell.
-    while let Some(s) = (next_source..n_cells).find(|&c| level[c] == u32::MAX) {
-        next_source = s + 1;
-        level[s] = lvl;
-        let mut frontier = vec![s];
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &c in &frontier {
-                let idx = decode(cells[c]);
-                'offsets: for t in 0..pow3 {
-                    if t == center_t {
-                        continue;
-                    }
-                    let mut digits = t;
-                    let mut nidx = [0u64; D];
-                    for d in 0..D {
-                        let off = (digits % 3) as i64 - 1;
-                        digits /= 3;
-                        let v = idx[d] as i64 + off;
-                        if v < 0 || v >= g as i64 {
-                            continue 'offsets;
-                        }
-                        nidx[d] = v as u64;
-                    }
-                    if let Ok(j) = cells.binary_search(&encode(&nidx)) {
-                        if level[j] == u32::MAX {
-                            level[j] = lvl + 1;
-                            next.push(j);
-                        }
-                    }
-                }
-            }
-            frontier = next;
-            lvl += 1;
-        }
-    }
-    let max_level = *level.iter().max().expect("n_cells >= 2");
-    // Sphere center: the lexicographically smallest point of the source
-    // cell (order-independent, hence thread-count-oblivious).
-    let lex_less = |a: &Point<D>, b: &Point<D>| {
-        for d in 0..D {
-            match a[d].total_cmp(&b[d]) {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        false
-    };
-    let mut center = points[pairs[0].1 as usize];
-    for &(_, i) in &pairs[cell_start[0]..cell_start[1]] {
-        let p = points[i as usize];
-        if lex_less(&p, &center) {
-            center = p;
-        }
-    }
-    // Per-level population and radius: count[L] points at level L, and the
-    // farthest such point from the center.
-    let levels = max_level as usize + 1;
-    let mut count = vec![0usize; levels];
-    let mut radius = vec![0f64; levels];
-    for (c, &key_lvl) in level.iter().enumerate() {
-        let l = key_lvl as usize;
-        for &(_, i) in &pairs[cell_start[c]..cell_start[c + 1]] {
-            count[l] += 1;
-            radius[l] = radius[l].max(points[i as usize].dist(&center));
-        }
-    }
-    // Prefix sums/maxima: inside(L) = points at levels ≤ L, r(L) = the
-    // radius enclosing them.
-    for l in 1..levels {
-        count[l] += count[l - 1];
-        radius[l] = radius[l].max(radius[l - 1]);
-    }
-    // Greedy: candidate levels ordered by balance, best first; the last
-    // level would put everything inside, so it never separates.
-    let mut order: Vec<usize> = (0..levels - 1).collect();
-    let half = n / 2;
-    order.sort_by_key(|&l| (count[l].abs_diff(half), l));
-    let delta = cfg.delta(D);
-    let max_tries = cfg.max_attempts.max(8).min(order.len());
-    let mut attempts = 0;
-    for &l in order.iter().take(max_tries) {
-        if radius[l] <= 0.0 {
-            continue; // a zero-radius sphere separates nothing cleanly
-        }
-        attempts += 1;
-        let sep = Separator::Sphere(Sphere::new(center, radius[l]));
-        let counts = split_counts(points, &sep, cfg.tol);
-        if is_good_point_split(&counts, delta) {
-            return Some(GridBfsSeparator {
-                separator: sep,
-                counts,
-                attempts,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,45 +293,6 @@ mod tests {
             ..Default::default()
         };
         assert!(sphere_graph_separator::<2, 3, _>(&pts, &g, &cfg, 2, &mut rng).is_none());
-    }
-
-    #[test]
-    fn grid_bfs_separator_splits_uniform() {
-        let pts = Workload::UniformCube.generate::<2>(2000, 13);
-        let cfg = SeparatorConfig::default();
-        let found = grid_bfs_separator(&pts, &cfg).expect("uniform cube must split");
-        assert!(
-            found.counts.ratio() <= cfg.delta(2),
-            "ratio {} over delta",
-            found.counts.ratio()
-        );
-        assert!(found.attempts >= 1);
-    }
-
-    #[test]
-    fn grid_bfs_separator_is_order_independent() {
-        let pts = Workload::Clusters.generate::<2>(1500, 14);
-        let mut rev = pts.clone();
-        rev.reverse();
-        let cfg = SeparatorConfig::default();
-        let a = grid_bfs_separator(&pts, &cfg).unwrap();
-        let b = grid_bfs_separator(&rev, &cfg).unwrap();
-        assert_eq!(a.separator, b.separator);
-        assert_eq!(a.counts, b.counts);
-    }
-
-    #[test]
-    fn grid_bfs_separator_none_on_coincident_points() {
-        let pts = vec![Point::<2>::splat(3.0); 200];
-        assert!(grid_bfs_separator(&pts, &SeparatorConfig::default()).is_none());
-    }
-
-    #[test]
-    fn grid_bfs_separator_works_in_3d() {
-        let pts = Workload::UniformCube.generate::<3>(3000, 15);
-        let cfg = SeparatorConfig::default();
-        let found = grid_bfs_separator(&pts, &cfg).unwrap();
-        assert!(found.counts.ratio() <= cfg.delta(3) + 1e-12);
     }
 
     #[test]

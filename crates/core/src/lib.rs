@@ -15,7 +15,6 @@
 //! | §3 batch serving (read path over [`query`]) | [`serve`] |
 //! | persistent index snapshots (save/load) | [`snapshot`] |
 //! | batch-dynamic sharding (logarithmic method) | [`sharded`] |
-//! | pluggable split-decision backends | [`splitter`] |
 //!
 //! Baselines and substrates: [`brute`] (the `O(n²)` oracle), [`kdtree`]
 //! (the sequential `O(n log n)`-class baseline standing in for Vaidya's
@@ -58,7 +57,6 @@ pub mod sharded;
 mod shared;
 pub mod simple_parallel;
 pub mod snapshot;
-pub mod splitter;
 pub mod validate;
 
 pub use brute::{brute_force_knn, try_brute_force_knn};
@@ -83,11 +81,7 @@ pub use simple_parallel::{
     simple_parallel_knn, try_simple_parallel_knn, SimpleDcOutput, SimpleDcStats,
 };
 pub use snapshot::{
-    load_partition_tree, load_query_tree, load_sharded_index, save_partition_tree, save_query_tree,
-    save_sharded_index, SectionInfo, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
-};
-pub use splitter::{
-    splitter_for, DeterministicHalving, GraphSplitter, RandomSphere, Splitter, SplitterKind,
+    load_query_tree, load_sharded_index, save_query_tree, save_sharded_index, SectionInfo,
+    SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use validate::{validate_against_oracle, validate_knn, ValidationError};

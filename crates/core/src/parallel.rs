@@ -28,14 +28,13 @@ use crate::partition_tree::{
 use crate::report::{cost_counters, meter_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::{child_seed, punt_seed};
 use crate::shared::SharedLists;
-use crate::splitter::splitter_for;
 use rayon::prelude::*;
 use sepdc_geom::aabb::Aabb;
 use sepdc_geom::point::Point;
 use sepdc_geom::soa::SoaPoints;
 use sepdc_scan::cost::{CostMeter, MeterSnapshot};
 use sepdc_scan::CostProfile;
-use sepdc_separator::SearchOutcome;
+use sepdc_separator::find_good_separator_par;
 
 /// Minimum node size before the centers gather runs in parallel (matches
 /// the in-place partition cutoff: below this the memcpy is cheaper than
@@ -89,17 +88,6 @@ pub struct ParallelDcStats {
     pub depth_forced_leaves: usize,
     /// Unit-time separator candidates drawn.
     pub candidates: u64,
-    /// Nodes split by the derandomized halving cut after the random
-    /// search exhausted its attempts (the `halving` backend's fallback).
-    pub halving_splits: u64,
-    /// Nodes where [`Splitter::rescue`](crate::splitter::Splitter::rescue)
-    /// re-split a one-sided accepted separator that would otherwise have
-    /// become a forced brute leaf (counted in `degenerate_splits` under
-    /// the default backend).
-    pub halving_rescues: u64,
-    /// Nodes split by the BFS/greedy intersection-graph separator (the
-    /// `graph` backend).
-    pub graph_splits: u64,
 }
 
 impl ParallelDcStats {
@@ -129,9 +117,6 @@ impl ParallelDcStats {
             degenerate_splits: self.degenerate_splits + o.degenerate_splits,
             depth_forced_leaves: self.depth_forced_leaves + o.depth_forced_leaves,
             candidates: self.candidates + o.candidates,
-            halving_splits: self.halving_splits + o.halving_splits,
-            halving_rescues: self.halving_rescues + o.halving_rescues,
-            graph_splits: self.graph_splits + o.graph_splits,
         }
     }
 }
@@ -299,15 +284,6 @@ fn build_report<const D: usize>(
             stats.depth_forced_leaves as f64,
         ),
         ("stats.candidates".to_string(), stats.candidates as f64),
-        (
-            "stats.halving_splits".to_string(),
-            stats.halving_splits as f64,
-        ),
-        (
-            "stats.halving_rescues".to_string(),
-            stats.halving_rescues as f64,
-        ),
-        ("stats.graph_splits".to_string(), stats.graph_splits as f64),
     ];
     counters.extend(meter_counters(meter));
     counters.extend(cost_counters(cost));
@@ -368,7 +344,6 @@ pub(crate) fn config_echo(
         ("parallel_cutoff".to_string(), cfg.parallel_cutoff as f64),
         ("depth_limit".to_string(), depth_limit as f64),
         ("record".to_string(), f64::from(u8::from(cfg.record))),
-        ("splitter".to_string(), cfg.splitter.code() as f64),
     ]
 }
 
@@ -460,16 +435,13 @@ fn rec<const D: usize, const E: usize>(
     } else {
         ids.iter().map(|&i| ctx.points[i as usize]).collect()
     };
-    // Split decision, routed through the configured backend. For the
-    // default `RandomSphere` this is the seeded candidate search, timed
-    // as a sub-interval of the split: `separator-search` time is
-    // *contained in* `split` time, never summed with it. Every candidate
-    // streams from its own seed, so the output is the same for every
-    // thread count — and every backend's `split` is likewise a pure
-    // function of `(centers, cfg, seed)`.
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
+    // Split decision: the seeded candidate search, timed as a
+    // sub-interval of the split (`separator-search` time is *contained
+    // in* `split` time, never summed with it). Every candidate streams
+    // from its own seed, so the output is the same for every thread
+    // count.
     let found = ctx.obs.time(Phase::SeparatorSearch, || {
-        sp.split(&centers, &ctx.cfg.separator, seed)
+        find_good_separator_par::<D, E>(&centers, &ctx.cfg.separator, seed)
     });
     let Some(found) = found else {
         ctx.obs.stop(Phase::Split, t_split);
@@ -478,33 +450,17 @@ fn rec<const D: usize, const E: usize>(
     ctx.meter.add_candidates(found.attempts as u64);
     ctx.meter.add_accept();
     ctx.obs.add_candidates(depth, found.attempts as u64);
-    let mut sep = found.separator;
+    let sep = found.separator;
 
     // Carve this call's id slice in place: interior side to the front.
-    let mut nl =
-        partition_in_place_par(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
-    let mut rescued = false;
+    let nl = partition_in_place_par(ids, |i| sep.side(&ctx.points[i as usize]).routes_interior());
+    ctx.obs.stop(Phase::Split, t_split);
     if nl == 0 || nl == m {
         // The separator was *accepted* — its tolerance-counted split looked
         // balanced — but strict-side routing sent every point to one side
-        // (all of them within `tol` of the surface). Ask the backend for a
-        // deterministic second-chance cut before giving up.
-        if let Some(rsep) = sp.rescue(&centers) {
-            let rnl = partition_in_place_par(ids, |i| {
-                rsep.side(&ctx.points[i as usize]).routes_interior()
-            });
-            if rnl > 0 && rnl < m {
-                sep = rsep;
-                nl = rnl;
-                rescued = true;
-            }
-        }
-    }
-    ctx.obs.stop(Phase::Split, t_split);
-    if nl == 0 || nl == m {
-        // No rescue (the default backend's answer) or the rescue routed
-        // one-sided too. Recursing here would re-run this call on an
-        // unshrunk slice forever; fall back to a brute-force leaf instead.
+        // (all of them within `tol` of the surface). Recursing here would
+        // re-run this call on an unshrunk slice forever; fall back to a
+        // brute-force leaf instead.
         let mut out = leaf_case(ctx, ids, depth, true);
         out.3.degenerate_splits = 1;
         return Ok(out);
@@ -581,12 +537,6 @@ fn rec<const D: usize, const E: usize>(
     stats.max_node_crossing = stats.max_node_crossing.max(crossing_total);
     stats.max_crossing_vs_threshold = stats.max_crossing_vs_threshold.max(crossing_ratio);
     stats.candidates += found.attempts as u64;
-    match found.outcome {
-        SearchOutcome::Halving => stats.halving_splits += 1,
-        SearchOutcome::Graph => stats.graph_splits += 1,
-        SearchOutcome::Random | SearchOutcome::Fallback => {}
-    }
-    stats.halving_rescues += u64::from(rescued);
 
     let qseed = punt_seed(seed);
     let punt = |crossing: &[CrossingBall<D>]| {
@@ -994,85 +944,6 @@ mod tests {
             .same_distances(&brute_force_knn(&pts, 1), 1e-12)
             .unwrap();
         out.knn.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn halving_backend_rescues_pinned_degenerate_case() {
-        // The exact setup of `degenerate_one_sided_separator_forces_leaf`
-        // (seed=3544, tol=0.5): under the default backend the root's
-        // accepted separator routes one-sided and the recursion forces a
-        // brute leaf. The `halving` backend's rescue must instead re-split
-        // with the deterministic halving cut, leaving no degenerate leaves
-        // at all — and the answers must still match the oracle.
-        let pts = Workload::UniformCube.generate::<2>(64, 0);
-        let mut cfg = KnnDcConfig::new(1)
-            .with_seed(3544)
-            .with_splitter(crate::splitter::SplitterKind::Halving);
-        cfg.base_case = Some(16);
-        cfg.separator.tol = 0.5;
-        cfg.separator.epsilon = 0.2;
-        cfg.separator.max_attempts = 1;
-
-        let out = parallel_knn::<2, 3>(&pts, &cfg);
-        assert!(
-            out.stats.halving_rescues >= 1,
-            "rescue never fired: {:?}",
-            out.stats
-        );
-        assert_eq!(
-            out.stats.degenerate_splits, 0,
-            "rescue should eliminate the degenerate leaf: {:?}",
-            out.stats
-        );
-        out.knn
-            .same_distances(&brute_force_knn(&pts, 1), 1e-12)
-            .unwrap();
-        out.knn.check_invariants().unwrap();
-        // The report carries the rescue counter.
-        assert_eq!(
-            out.report.counter("stats.halving_rescues"),
-            Some(out.stats.halving_rescues as f64)
-        );
-    }
-
-    #[test]
-    fn alternative_backends_match_oracle_on_degenerate_workloads() {
-        use crate::splitter::SplitterKind;
-        use rand::SeedableRng;
-        use sepdc_workloads::degenerate::{duplicate_bundles, tolerance_band_cluster};
-
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let workloads: Vec<(&str, Vec<sepdc_geom::Point<2>>)> = vec![
-            (
-                "duplicate_bundles",
-                duplicate_bundles::<2, _>(600, 8, &mut rng),
-            ),
-            (
-                "tolerance_band_cluster",
-                tolerance_band_cluster::<2, _>(600, 1e-6, &mut rng),
-            ),
-            ("noisy_line", Workload::NoisyLine.generate::<2>(600, 5)),
-        ];
-        for (name, pts) in &workloads {
-            let oracle = brute_force_knn(pts, 2);
-            for kind in [SplitterKind::Halving, SplitterKind::Graph] {
-                let cfg = KnnDcConfig::new(2).with_seed(11).with_splitter(kind);
-                let out = parallel_knn::<2, 3>(pts, &cfg);
-                out.knn
-                    .same_distances(&oracle, 1e-9)
-                    .unwrap_or_else(|e| panic!("{name} under {:?}: {e}", kind));
-                out.knn.check_invariants().unwrap();
-            }
-        }
-        // all_coincident: no backend can split, but all must stay correct.
-        let same = sepdc_workloads::degenerate::all_coincident::<2>(200, 2.5);
-        let oracle = brute_force_knn(&same, 2);
-        for kind in [SplitterKind::Halving, SplitterKind::Graph] {
-            let cfg = KnnDcConfig::new(2).with_splitter(kind);
-            let out = parallel_knn::<2, 3>(&same, &cfg);
-            out.knn.same_distances(&oracle, 0.0).unwrap();
-            assert!(out.stats.forced_leaves >= 1);
-        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl<const D: usize> PartitionTree<D> {
     }
 
     /// The whole permutation array (point ids tiled left-to-right by leaf
-    /// order) — the flat column the snapshot writer serializes.
+    /// order).
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }

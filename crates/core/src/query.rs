@@ -16,14 +16,13 @@
 use crate::error::{validate_points, SepdcError};
 use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
 use crate::seeding::child_seed;
-use crate::splitter::{splitter_for, SplitterKind};
 use rayon::prelude::*;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::point::Point;
 use sepdc_geom::shape::Separator;
 use sepdc_geom::soa::SoaBalls;
 use sepdc_scan::CostProfile;
-use sepdc_separator::{SearchOutcome, SeparatorConfig};
+use sepdc_separator::{find_good_separator_par, SearchOutcome, SeparatorConfig};
 
 /// Minimum node size before the centers gather and the ball-routing side
 /// tests run in parallel. Both parallel paths are positionally identical
@@ -41,11 +40,6 @@ pub struct QueryTreeConfig {
     pub leaf_size: usize,
     /// Separator search configuration.
     pub separator: SeparatorConfig,
-    /// Which split-decision backend drives construction
-    /// ([`crate::splitter`]). The default [`SplitterKind::Random`] is the
-    /// paper's engine; recorded in snapshot metadata so a loaded tree
-    /// remembers how it was built.
-    pub splitter: SplitterKind,
     /// Subtree size below which construction stops forking rayon tasks.
     pub parallel_cutoff: usize,
     /// Whether to record build phase timings and the per-depth histogram
@@ -61,7 +55,6 @@ impl Default for QueryTreeConfig {
         QueryTreeConfig {
             leaf_size: 48,
             separator: SeparatorConfig::default(),
-            splitter: SplitterKind::Random,
             parallel_cutoff: 4096,
             record: false,
         }
@@ -112,9 +105,6 @@ pub struct QueryTree<const D: usize> {
     stats: QueryTreeStats,
     cost: CostProfile,
     report: RunReport,
-    /// Which split-decision backend built this tree (round-tripped through
-    /// snapshots).
-    splitter: SplitterKind,
 }
 
 struct BuildCtx<'a, const D: usize> {
@@ -224,7 +214,6 @@ impl<const D: usize> QueryTree<D> {
                     cfg.separator.max_attempts as f64,
                 ),
                 ("record".to_string(), f64::from(u8::from(cfg.record))),
-                ("splitter".to_string(), cfg.splitter.code() as f64),
             ],
             phases: obs.phases(),
             counters,
@@ -238,7 +227,6 @@ impl<const D: usize> QueryTree<D> {
             stats: built.stats,
             cost: built.cost,
             report,
-            splitter: cfg.splitter,
         })
     }
 
@@ -341,7 +329,6 @@ impl<const D: usize> QueryTree<D> {
     /// has already validated every id, range, and float; this constructor
     /// only stamps a fresh `algo = "query-load"` report so a loaded tree
     /// is observable like a built one.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_snapshot_parts(
         root: QNode<D>,
         balls: Vec<Ball<D>>,
@@ -349,7 +336,6 @@ impl<const D: usize> QueryTree<D> {
         stats: QueryTreeStats,
         cost: CostProfile,
         seed: u64,
-        splitter: SplitterKind,
         load_elapsed: std::time::Duration,
     ) -> Self {
         let mut counters = vec![
@@ -387,14 +373,7 @@ impl<const D: usize> QueryTree<D> {
             stats,
             cost,
             report,
-            splitter,
         }
-    }
-
-    /// The split-decision backend this tree was built with (restored from
-    /// metadata when the tree came from a snapshot).
-    pub fn splitter(&self) -> SplitterKind {
-        self.splitter
     }
 
     /// Number of tree nodes visited plus leaf balls scanned for `p` —
@@ -488,13 +467,11 @@ fn build_rec<const D: usize, const E: usize>(
     } else {
         ids.iter().map(|&i| ctx.balls[i as usize].center).collect()
     };
-    // Split decision through the configured backend; for the default
-    // `RandomSphere` this is the seeded candidate search (first
-    // acceptable index wins), timed as a sub-interval of the split —
-    // identical output for any pool size.
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
+    // Split decision: the seeded candidate search (first acceptable index
+    // wins), timed as a sub-interval of the split — identical output for
+    // any pool size.
     let found = ctx.obs.time(Phase::SeparatorSearch, || {
-        sp.split(&centers, &ctx.cfg.separator, seed)
+        find_good_separator_par::<D, E>(&centers, &ctx.cfg.separator, seed)
     });
     let Some(found) = found else {
         // Unsplittable (e.g. all centers identical): oversized leaf.
@@ -507,66 +484,50 @@ fn build_rec<const D: usize, const E: usize>(
         };
     };
     ctx.obs.add_candidates(depth, found.attempts as u64);
-    let mut sep = found.separator;
+    let sep = found.separator;
     // Route balls: closed-interior contact goes left, closed-exterior goes
     // right; crossers go both ways (B₀ = B_I ∪ B_O, B₁ = B_E ∪ B_O). The
     // side tests are the expensive part; precompute them in parallel for
     // large nodes (order-preserving collect), then push serially so the
     // children receive ids in the identical order for every pool size.
-    let route = |sep: &Separator<D>| -> (Vec<u32>, Vec<u32>) {
-        let mut left_ids = Vec::new();
-        let mut right_ids = Vec::new();
-        if m >= ROUTE_PAR_CUTOFF {
-            let sides: Vec<(bool, bool)> = ids
-                .par_iter()
-                .map(|&i| {
-                    let b = &ctx.balls[i as usize];
-                    (b.touches_interior_of(sep), b.touches_exterior_of(sep))
-                })
-                .collect();
-            for (&i, &(l, r)) in ids.iter().zip(&sides) {
-                debug_assert!(l || r, "ball reaches no side of the separator");
-                if l {
-                    left_ids.push(i);
-                }
-                if r {
-                    right_ids.push(i);
-                }
-            }
-        } else {
-            for &i in &ids {
+    let mut left_ids = Vec::new();
+    let mut right_ids = Vec::new();
+    if m >= ROUTE_PAR_CUTOFF {
+        let sides: Vec<(bool, bool)> = ids
+            .par_iter()
+            .map(|&i| {
                 let b = &ctx.balls[i as usize];
-                let l = b.touches_interior_of(sep);
-                let r = b.touches_exterior_of(sep);
-                debug_assert!(l || r, "ball reaches no side of the separator");
-                if l {
-                    left_ids.push(i);
-                }
-                if r {
-                    right_ids.push(i);
-                }
+                (b.touches_interior_of(&sep), b.touches_exterior_of(&sep))
+            })
+            .collect();
+        for (&i, &(l, r)) in ids.iter().zip(&sides) {
+            debug_assert!(l || r, "ball reaches no side of the separator");
+            if l {
+                left_ids.push(i);
+            }
+            if r {
+                right_ids.push(i);
             }
         }
-        (left_ids, right_ids)
-    };
-    let (mut left_ids, mut right_ids) = route(&sep);
-    if left_ids.len() >= m || right_ids.len() >= m {
-        // No progress (every ball crosses): before giving up, let the
-        // backend offer a deterministic second-chance cut, exactly as in
-        // the Section 6 recursion.
-        if let Some(rsep) = sp.rescue(&centers) {
-            let (rl, rr) = route(&rsep);
-            if rl.len() < m && rr.len() < m {
-                sep = rsep;
-                left_ids = rl;
-                right_ids = rr;
+    } else {
+        for &i in &ids {
+            let b = &ctx.balls[i as usize];
+            let l = b.touches_interior_of(&sep);
+            let r = b.touches_exterior_of(&sep);
+            debug_assert!(l || r, "ball reaches no side of the separator");
+            if l {
+                left_ids.push(i);
+            }
+            if r {
+                right_ids.push(i);
             }
         }
     }
     ctx.obs.stop(Phase::Split, t_split);
     if left_ids.len() >= m || right_ids.len() >= m {
-        // Still no progress: oversized leaf. With k-ply systems and good
-        // separators this fires only on adversarial degenerate inputs.
+        // No progress (every ball crosses): oversized leaf. With k-ply
+        // systems and good separators this fires only on adversarial
+        // degenerate inputs.
         ctx.obs.leaf(depth);
         return Built {
             node: QNode::Leaf { ball_ids: ids },

@@ -22,9 +22,9 @@ use crate::parallel::config_echo;
 use crate::partition_tree::partition_in_place;
 use crate::report::{cost_counters, Phase, RunRecorder, RunReport};
 use crate::shared::SharedLists;
-use crate::splitter::splitter_for;
 use sepdc_geom::point::Point;
 use sepdc_scan::CostProfile;
+use sepdc_separator::hyperplane_cut::median_cut_cycling;
 
 /// Statistics from one run of the Section 5 algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -244,8 +244,7 @@ fn rec<const D: usize, const E: usize>(
     }
     let t_split = ctx.obs.start();
     let subset_points: Vec<Point<D>> = ids.iter().map(|&i| ctx.points[i as usize]).collect();
-    let sp = splitter_for::<D, E>(ctx.cfg.splitter);
-    let Some(sep) = sp.median_split(&subset_points, depth) else {
+    let Some(sep) = median_cut_cycling(&subset_points, depth) else {
         // All points identical: brute leaf.
         ctx.obs.stop(Phase::Split, t_split);
         solve_subset_into(ctx, ids, depth);

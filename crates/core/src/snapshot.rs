@@ -1,5 +1,5 @@
 //! Persistent index snapshots: a versioned on-disk format for
-//! [`QueryTree`], [`PartitionTree`], and [`ShardedIndex`].
+//! [`QueryTree`] and [`ShardedIndex`].
 //!
 //! BENCH_query_throughput.json shows the query structure answering ~1M
 //! probes/s but costing ~900 ms to build — so a process that rebuilds on
@@ -15,8 +15,8 @@
 //! ```text
 //! header   magic [u8; 8] = "SEPDCSNP"
 //!          version       u32   (SNAPSHOT_VERSION)
-//!          kind          u32   (1 = query tree, 2 = partition tree,
-//!                               3 = sharded index)
+//!          kind          u32   (1 = query tree, 3 = sharded index;
+//!                               2 is retired)
 //!          dim           u32   (const D of the tree)
 //!          section_count u32
 //! table    section_count × { tag [u8; 4], offset u64, len u64, checksum u64 }
@@ -42,11 +42,8 @@
 //! the node array), so a crafted deep chain cannot overflow the stack.
 
 use crate::error::SepdcError;
-use crate::partition_tree::{PartitionNode, PartitionTree};
 use crate::query::{QNode, QueryTree, QueryTreeConfig, QueryTreeStats};
 use crate::sharded::{ShardedConfig, ShardedIndex};
-use crate::splitter::SplitterKind;
-use sepdc_geom::aabb::Aabb;
 use sepdc_geom::ball::Ball;
 use sepdc_geom::halfspace::Hyperplane;
 use sepdc_geom::point::Point;
@@ -74,8 +71,6 @@ pub const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 pub enum SnapshotKind {
     /// A [`QueryTree`] (§3 neighborhood query structure + SoA ball columns).
     QueryTree,
-    /// A [`PartitionTree`] (§6 arena tree + permutation + optional bounds).
-    PartitionTree,
     /// A [`ShardedIndex`] (logarithmic-method shard manifest wrapping
     /// nested query-tree snapshots, tombstone bitmaps, and the staging
     /// array).
@@ -86,7 +81,6 @@ impl SnapshotKind {
     fn code(self) -> u32 {
         match self {
             SnapshotKind::QueryTree => 1,
-            SnapshotKind::PartitionTree => 2,
             SnapshotKind::ShardedIndex => 3,
         }
     }
@@ -94,7 +88,6 @@ impl SnapshotKind {
     fn from_code(code: u32) -> Option<Self> {
         match code {
             1 => Some(SnapshotKind::QueryTree),
-            2 => Some(SnapshotKind::PartitionTree),
             3 => Some(SnapshotKind::ShardedIndex),
             _ => None,
         }
@@ -104,7 +97,6 @@ impl SnapshotKind {
     pub fn name(self) -> &'static str {
         match self {
             SnapshotKind::QueryTree => "query-tree",
-            SnapshotKind::PartitionTree => "partition-tree",
             SnapshotKind::ShardedIndex => "sharded-index",
         }
     }
@@ -229,9 +221,6 @@ const TAG_META: &[u8; 4] = b"META";
 const TAG_BALL: &[u8; 4] = b"BALL";
 const TAG_NODE: &[u8; 4] = b"NODE";
 const TAG_LFID: &[u8; 4] = b"LFID";
-const TAG_PNOD: &[u8; 4] = b"PNOD";
-const TAG_PERM: &[u8; 4] = b"PERM";
-const TAG_BNDS: &[u8; 4] = b"BNDS";
 const TAG_SMET: &[u8; 4] = b"SMET";
 const TAG_SHRD: &[u8; 4] = b"SHRD";
 const TAG_GIDS: &[u8; 4] = b"GIDS";
@@ -586,9 +575,6 @@ fn tag_name(tag: &[u8; 4]) -> &'static str {
         TAG_BALL => "BALL",
         TAG_NODE => "NODE",
         TAG_LFID => "LFID",
-        TAG_PNOD => "PNOD",
-        TAG_PERM => "PERM",
-        TAG_BNDS => "BNDS",
         TAG_SMET => "SMET",
         TAG_SHRD => "SHRD",
         TAG_GIDS => "GIDS",
@@ -628,11 +614,9 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
         cost.scan_ops,
         cost.separator_candidates,
         cost.punts,
-        // Appended last so snapshots written before the splitter existed
-        // (14-word META) still load: absent ⇒ the Random default.
-        tree.splitter().code(),
-        // Words 16/17: reserved, written with their fixed values
-        // (DESIGN.md §17).
+        // Words 15–17: reserved, written with their fixed values
+        // (DESIGN.md §14, §17).
+        META_WORD_15,
         META_WORD_16,
         META_WORD_17,
     ] {
@@ -726,6 +710,14 @@ pub fn save_query_tree<const D: usize>(tree: &QueryTree<D>) -> Vec<u8> {
     )
 }
 
+/// Value written into query-tree `META` word 15. The word once named the
+/// split backend that built the tree (`0`, `1` or `2`); every tree now
+/// splits with the paper's sphere search, so the writer keeps the `0`
+/// older default builds carried (leaving snapshot bytes unchanged) and the
+/// loader accepts any of the three codes and ignores it — trees built by
+/// the retired backends are valid and serve exact answers.
+const META_WORD_15: u64 = 0;
+
 /// Value written into query-tree `META` word 16. The word once selected a
 /// distance-evaluation tier (`0` or `1`); every tree now evaluates exact
 /// f64 distances, so the writer keeps the `1` older default builds carried
@@ -746,7 +738,6 @@ struct QueryMeta {
     n_balls: u64,
     stats: QueryTreeStats,
     cost: CostProfile,
-    splitter: SplitterKind,
 }
 
 fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
@@ -772,25 +763,18 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         separator_candidates: c.u64()?,
         punts: c.u64()?,
     };
-    // Optional 15th word: splitter backend code. Snapshots written before
-    // the pluggable-splitter era stop at 14 words and decode as Random.
-    let splitter = if c.remaining() > 0 {
-        let code = c.u64()?;
-        SplitterKind::from_code(code)
-            .ok_or_else(|| corrupt("META", format!("unknown splitter code {code}")))?
-    } else {
-        SplitterKind::Random
-    };
-    // Optional words 16/17, both reserved. Snapshots written before these
-    // words stop at 15. Word 16 is validated (0 or 1) and otherwise
-    // ignored; word 17 must be `0.0`'s bits.
-    if c.remaining() > 0 {
-        let word = c.u64()?;
-        if word > 1 {
-            return Err(corrupt(
-                "META",
-                format!("reserved word 16 is {word}, not 0/1"),
-            ));
+    // Optional words 15–17, all reserved. Older snapshots stop at 14 or
+    // 15 words. Words 15 (0–2) and 16 (0 or 1) are validated and
+    // otherwise ignored; word 17 must be `0.0`'s bits.
+    for (index, max) in [(15, 2), (16, 1)] {
+        if c.remaining() > 0 {
+            let word = c.u64()?;
+            if word > max {
+                return Err(corrupt(
+                    "META",
+                    format!("reserved word {index} is {word}, not 0..={max}"),
+                ));
+            }
         }
     }
     if c.remaining() > 0 {
@@ -808,7 +792,6 @@ fn load_query_meta(body: &[u8]) -> Result<QueryMeta, SnapshotError> {
         n_balls,
         stats,
         cost,
-        splitter,
     })
 }
 
@@ -1034,254 +1017,8 @@ pub fn load_query_tree<const D: usize>(bytes: &[u8]) -> Result<QueryTree<D>, Sep
         meta.stats,
         meta.cost,
         meta.seed,
-        meta.splitter,
         t0.elapsed(),
     ))
-}
-
-// ---------------------------------------------------------------------------
-// PartitionTree save/load
-// ---------------------------------------------------------------------------
-
-/// Serialize a [`PartitionTree`] into snapshot bytes.
-///
-/// Sections: `META` (perm length, bounds flag), `PNOD` (the arena, already
-/// postorder), `PERM` (the shared permutation array), `BNDS` (per-node
-/// bounding boxes, present only when the tree carries them).
-pub fn save_partition_tree<const D: usize>(tree: &PartitionTree<D>) -> Vec<u8> {
-    let mut meta = Vec::with_capacity(16);
-    put_u64(&mut meta, tree.perm().len() as u64);
-    put_u64(&mut meta, u64::from(tree.bounds().is_some()));
-
-    let nodes = tree.nodes();
-    let mut pnod = Vec::new();
-    put_u64(&mut pnod, nodes.len() as u64);
-    for node in nodes {
-        match node {
-            PartitionNode::Leaf { start, len } => {
-                pnod.push(NODE_LEAF);
-                put_u32(&mut pnod, *start);
-                put_u32(&mut pnod, *len);
-            }
-            PartitionNode::Internal {
-                sep,
-                size,
-                left,
-                right,
-            } => {
-                let (tag, coords, scalar) = match sep {
-                    Separator::Sphere(s) => (NODE_SPHERE, &s.center, s.radius),
-                    Separator::Halfspace(h) => (NODE_HALFSPACE, &h.normal, h.offset),
-                };
-                pnod.push(tag);
-                put_u32(&mut pnod, *size);
-                put_u32(&mut pnod, *left);
-                put_u32(&mut pnod, *right);
-                for d in 0..D {
-                    put_f64(&mut pnod, coords.0[d]);
-                }
-                put_f64(&mut pnod, scalar);
-            }
-        }
-    }
-
-    let mut perm = Vec::new();
-    put_u32_array(&mut perm, tree.perm());
-
-    let mut sections = vec![(TAG_META, meta), (TAG_PNOD, pnod), (TAG_PERM, perm)];
-    if let Some(bounds) = tree.bounds() {
-        let mut bnds = Vec::with_capacity(8 + bounds.len() * 2 * D * 8);
-        put_u64(&mut bnds, bounds.len() as u64);
-        for b in bounds {
-            for d in 0..D {
-                put_f64(&mut bnds, b.lo.0[d]);
-            }
-            for d in 0..D {
-                put_f64(&mut bnds, b.hi.0[d]);
-            }
-        }
-        sections.push((TAG_BNDS, bnds));
-    }
-    assemble_container(SnapshotKind::PartitionTree, D as u32, &sections)
-}
-
-/// Reconstruct a [`PartitionTree`] from snapshot bytes, validating the
-/// arena invariants the in-memory builder establishes by construction:
-/// children strictly precede parents, every non-root node is referenced
-/// exactly once, leaf ranges lie inside the permutation array, separator
-/// geometry is finite.
-pub fn load_partition_tree<const D: usize>(bytes: &[u8]) -> Result<PartitionTree<D>, SepdcError> {
-    let c = parse_container(bytes)?;
-    if c.kind != SnapshotKind::PartitionTree {
-        return Err(SnapshotError::KindMismatch {
-            found: c.kind,
-            expected: SnapshotKind::PartitionTree,
-        }
-        .into());
-    }
-    if c.dim != D as u32 {
-        return Err(SnapshotError::DimensionMismatch {
-            found: c.dim,
-            expected: D as u32,
-        }
-        .into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_META, "META")?, "META");
-    let perm_len = cur.u64()?;
-    let has_bounds = cur.u64()?;
-    cur.finish()?;
-    if has_bounds > 1 {
-        return Err(corrupt("META", format!("bounds flag {has_bounds} is not 0/1")).into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_PERM, "PERM")?, "PERM");
-    let perm = cur.u32_array()?;
-    cur.finish()?;
-    if perm.len() as u64 != perm_len {
-        return Err(corrupt(
-            "PERM",
-            format!(
-                "permutation has {} entries, META says {perm_len}",
-                perm.len()
-            ),
-        )
-        .into());
-    }
-
-    let mut cur = Cursor::new(c.section(TAG_PNOD, "PNOD")?, "PNOD");
-    let count = cur.array_len(1)?;
-    if count == 0 {
-        return Err(corrupt("PNOD", "empty node array").into());
-    }
-    let mut nodes: Vec<PartitionNode<D>> = Vec::with_capacity(count);
-    let mut referenced = vec![false; count];
-    for i in 0..count {
-        match cur.u8()? {
-            NODE_LEAF => {
-                let start = cur.u32()?;
-                let len = cur.u32()?;
-                let end = u64::from(start) + u64::from(len);
-                if end > perm.len() as u64 {
-                    return Err(corrupt(
-                        "PNOD",
-                        format!(
-                            "leaf {i} range {start}+{len} exceeds perm length {}",
-                            perm.len()
-                        ),
-                    )
-                    .into());
-                }
-                nodes.push(PartitionNode::Leaf { start, len });
-            }
-            tag @ (NODE_SPHERE | NODE_HALFSPACE) => {
-                let size = cur.u32()?;
-                let left = cur.u32()?;
-                let right = cur.u32()?;
-                let (l, r) = (left as usize, right as usize);
-                if l >= i || r >= i || l == r {
-                    return Err(corrupt(
-                        "PNOD",
-                        format!("internal {i} has invalid children ({left}, {right})"),
-                    )
-                    .into());
-                }
-                for (c, name) in [(l, "left"), (r, "right")] {
-                    if referenced[c] {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("{name} child {c} of internal {i} already has a parent"),
-                        )
-                        .into());
-                    }
-                    referenced[c] = true;
-                }
-                let mut coords = [0.0f64; D];
-                for v in &mut coords {
-                    *v = cur.f64()?;
-                }
-                let scalar = cur.f64()?;
-                let finite = coords.iter().all(|v| v.is_finite()) && scalar.is_finite();
-                let sep = if tag == NODE_SPHERE {
-                    if !finite || scalar <= 0.0 {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("internal {i} has a degenerate sphere separator"),
-                        )
-                        .into());
-                    }
-                    Separator::Sphere(Sphere {
-                        center: Point(coords),
-                        radius: scalar,
-                    })
-                } else {
-                    if !finite {
-                        return Err(corrupt(
-                            "PNOD",
-                            format!("internal {i} has a non-finite halfspace separator"),
-                        )
-                        .into());
-                    }
-                    Separator::Halfspace(Hyperplane {
-                        normal: Point(coords),
-                        offset: scalar,
-                    })
-                };
-                nodes.push(PartitionNode::Internal {
-                    sep,
-                    size,
-                    left,
-                    right,
-                });
-            }
-            other => {
-                return Err(corrupt("PNOD", format!("unknown node tag {other} at node {i}")).into())
-            }
-        }
-    }
-    cur.finish()?;
-    if let Some(orphan) = referenced[..count - 1].iter().position(|r| !r) {
-        return Err(corrupt(
-            "PNOD",
-            format!("node {orphan} is unreachable from the root"),
-        )
-        .into());
-    }
-    if referenced[count - 1] {
-        return Err(corrupt("PNOD", "root node has a parent").into());
-    }
-
-    if has_bounds == 1 {
-        let mut cur = Cursor::new(c.section(TAG_BNDS, "BNDS")?, "BNDS");
-        let n_bounds = cur.array_len(2 * D * 8)?;
-        if n_bounds != count {
-            return Err(corrupt("BNDS", format!("{n_bounds} boxes for {count} nodes")).into());
-        }
-        let mut bounds: Vec<Aabb<D>> = Vec::with_capacity(n_bounds);
-        for i in 0..n_bounds {
-            let mut lo = [0.0f64; D];
-            let mut hi = [0.0f64; D];
-            for v in &mut lo {
-                *v = cur.f64()?;
-            }
-            for v in &mut hi {
-                *v = cur.f64()?;
-            }
-            // ±inf is legal (the empty box); NaN would poison the
-            // marching-prune distance tests.
-            if lo.iter().chain(hi.iter()).any(|v| v.is_nan()) {
-                return Err(corrupt("BNDS", format!("NaN bound at node {i}")).into());
-            }
-            bounds.push(Aabb {
-                lo: Point(lo),
-                hi: Point(hi),
-            });
-        }
-        cur.finish()?;
-        Ok(PartitionTree::from_parts_with_bounds(nodes, perm, bounds))
-    } else {
-        Ok(PartitionTree::from_parts(nodes, perm))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1631,7 +1368,6 @@ pub fn load_sharded_index<const D: usize>(bytes: &[u8]) -> Result<ShardedIndex<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KnnDcConfig;
     use crate::neighborhood::NeighborhoodSystem;
     use crate::query::QueryTreeConfig;
     use crate::serve::CoverPredicate;
@@ -1720,27 +1456,30 @@ mod tests {
         let tree = sample_tree(400);
         let bytes = save_query_tree(&tree);
         let want = served_rows(&tree);
-        // Word 16 (0-based word 15) is written as 1; both legal values
-        // load and serve identically.
-        let word16 = 15 * 8..16 * 8;
         let info = inspect(&bytes).unwrap();
         let meta = info.sections.iter().find(|s| s.tag == "META").unwrap();
-        let at = meta.offset as usize + word16.start;
-        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
         assert_eq!(with_meta(&bytes, |_| {}), bytes);
-        let patch = |v: u64| {
-            with_meta(&bytes, |m| {
-                m[word16.clone()].copy_from_slice(&v.to_le_bytes())
-            })
-        };
-        for v in [0u64, 1] {
-            let loaded = load_query_tree::<2>(&patch(v)).unwrap();
-            assert_eq!(served_rows(&loaded), want, "word 16 = {v}");
-        }
-        // Any other value is a typed corruption of META.
-        match load_query_tree::<2>(&patch(2)).map(drop) {
-            Err(SepdcError::Snapshot(SnapshotError::Corrupt { tag: "META", .. })) => {}
-            other => panic!("word 16 = 2: expected Corrupt(META), got {other:?}"),
+        // (1-based word, value written, legal values, first illegal value)
+        let words: [(usize, u64, &[u64], u64); 2] = [(15, 0, &[0, 1, 2], 3), (16, 1, &[0, 1], 2)];
+        for (word, written, legal, illegal) in words {
+            let range = (word - 1) * 8..word * 8;
+            let at = meta.offset as usize + range.start;
+            assert_eq!(bytes[at..at + 8], written.to_le_bytes(), "word {word}");
+            let patch = |v: u64| {
+                with_meta(&bytes, |m| {
+                    m[range.clone()].copy_from_slice(&v.to_le_bytes())
+                })
+            };
+            // Every legal value loads and serves identically.
+            for &v in legal {
+                let loaded = load_query_tree::<2>(&patch(v)).unwrap();
+                assert_eq!(served_rows(&loaded), want, "word {word} = {v}");
+            }
+            // Any other value is a typed corruption of META.
+            match load_query_tree::<2>(&patch(illegal)).map(drop) {
+                Err(SepdcError::Snapshot(SnapshotError::Corrupt { tag: "META", .. })) => {}
+                other => panic!("word {word} = {illegal}: expected Corrupt(META), got {other:?}"),
+            }
         }
     }
 
@@ -1748,10 +1487,12 @@ mod tests {
     fn fifteen_word_meta_still_loads() {
         let tree = sample_tree(400);
         let bytes = save_query_tree(&tree);
-        let short = with_meta(&bytes, |m| m.truncate(15 * 8));
-        let loaded = load_query_tree::<2>(&short).unwrap();
-        assert_eq!(loaded.splitter(), tree.splitter());
-        assert_eq!(served_rows(&loaded), served_rows(&tree));
+        // Snapshots from before the reserved words stop at 14 or 15 words.
+        for words in [14, 15] {
+            let short = with_meta(&bytes, |m| m.truncate(words * 8));
+            let loaded = load_query_tree::<2>(&short).unwrap();
+            assert_eq!(served_rows(&loaded), served_rows(&tree), "{words} words");
+        }
     }
 
     #[test]
@@ -1761,19 +1502,6 @@ mod tests {
         let loaded = load_query_tree::<2>(&bytes).unwrap();
         assert!(loaded.is_empty());
         assert_eq!(loaded.stats(), tree.stats());
-    }
-
-    #[test]
-    fn partition_tree_round_trips() {
-        let points = Workload::Clusters.generate::<2>(600, 9);
-        let out = crate::parallel::parallel_knn::<2, 3>(&points, &KnnDcConfig::new(3));
-        let tree = out.tree;
-        let bytes = save_partition_tree(&tree);
-        let loaded = load_partition_tree::<2>(&bytes).unwrap();
-        assert_eq!(loaded.nodes(), tree.nodes());
-        assert_eq!(loaded.perm(), tree.perm());
-        assert_eq!(loaded.bounds(), tree.bounds());
-        assert_eq!(save_partition_tree(&loaded), bytes);
     }
 
     #[test]
@@ -1798,12 +1526,10 @@ mod tests {
         let tree = sample_tree(100);
         let bytes = save_query_tree(&tree);
         assert_eq!(
-            load_partition_tree::<2>(&bytes)
-                .map(|t| t.nodes().len())
-                .err(),
+            load_sharded_index::<2>(&bytes).map(|i| i.len()).err(),
             Some(SepdcError::Snapshot(SnapshotError::KindMismatch {
                 found: SnapshotKind::QueryTree,
-                expected: SnapshotKind::PartitionTree,
+                expected: SnapshotKind::ShardedIndex,
             }))
         );
         assert_eq!(

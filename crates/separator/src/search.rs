@@ -29,12 +29,6 @@ pub enum SearchOutcome {
     Random,
     /// The deterministic median-cut fallback was used.
     Fallback,
-    /// A derandomized halving cut engaged after the random search failed
-    /// (the `DeterministicHalving` splitter backend).
-    Halving,
-    /// A BFS/greedy separator over the sparse ball-intersection graph was
-    /// accepted (the `GraphSeparator` splitter backend).
-    Graph,
 }
 
 /// A good separator together with the search statistics the complexity

@@ -8,11 +8,17 @@
 //! parallel partition/march paths are all order-preserving, so this
 //! holds by construction; these tests pin it through the public facade.
 
+use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
+use sepdc::core::snapshot::save_query_tree;
 use sepdc::core::{
-    parallel_knn, KnnDcConfig, NeighborhoodSystem, ParallelDcOutput, PartitionNode, QueryTree,
-    QueryTreeConfig,
+    brute_force_knn, parallel_knn, KnnDcConfig, NeighborhoodSystem, ParallelDcOutput,
+    PartitionNode, QueryTree, QueryTreeConfig,
 };
+use sepdc::geom::{Ball, Point};
+use sepdc::workloads::degenerate::{duplicate_bundles, tolerance_band_cluster};
 use sepdc::workloads::Workload;
 
 const POOLS: [usize; 3] = [1, 2, 7];
@@ -147,5 +153,79 @@ fn query_structure_build_identical_across_pools() {
             base_serve.result.ids(),
             "{threads} threads: serve ids"
         );
+    }
+}
+
+/// A total, bit-exact fingerprint of a k-NN answer set: per point, its
+/// `(dist_bits, id)` list.
+type Fingerprint = Vec<Vec<(u64, u32)>>;
+
+fn knn_fingerprint(out: &ParallelDcOutput<2>) -> Fingerprint {
+    (0..out.knn.len())
+        .map(|i| {
+            out.knn
+                .neighbors(i)
+                .iter()
+                .map(|n| (n.dist_sq.to_bits(), n.idx))
+                .collect()
+        })
+        .collect()
+}
+
+/// Decode a generator selector into a (possibly adversarial) point set.
+fn generate(selector: u32, n: usize, seed: u64) -> Vec<Point<2>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    match selector % 4 {
+        0 => Workload::UniformCube.generate::<2>(n, seed),
+        1 => duplicate_bundles::<2, _>(n, 6, &mut rng),
+        2 => tolerance_band_cluster::<2, _>(n, 1e-6, &mut rng),
+        _ => Workload::NoisyLine.generate::<2>(n, seed),
+    }
+}
+
+/// Balls for the query-tree side: centers at the points, radius to the
+/// nearest neighbor (a miniature neighborhood system, deterministic).
+fn balls_of(points: &[Point<2>]) -> Vec<Ball<2>> {
+    let knn = brute_force_knn(points, 1);
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Ball::new(*p, knn.neighbors(i)[0].dist_sq.sqrt().max(1e-9)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Over uniform, duplicate-bundle, tolerance-band and noisy-line
+    /// inputs, builds are byte-identical across 1/2/7-thread pools, for
+    /// the §6 recursion (bit-exact neighbor lists + stats) and the §3
+    /// query tree (bit-exact snapshot bytes).
+    #[test]
+    fn adversarial_builds_identical_across_pools(
+        selector in 0u32..4,
+        n in 60usize..200,
+        seed in 0u64..1 << 48,
+    ) {
+        let points = generate(selector, n, seed);
+        let balls = balls_of(&points);
+        let cfg = KnnDcConfig::new(2).with_seed(seed);
+        let mut base: Option<(Fingerprint, _, Vec<u8>)> = None;
+        for threads in POOLS {
+            let (fp, stats, snap) = in_pool(threads, || {
+                let out = parallel_knn::<2, 3>(&points, &cfg);
+                let tree =
+                    QueryTree::try_build::<3>(&balls, QueryTreeConfig::default(), seed).unwrap();
+                (knn_fingerprint(&out), out.stats, save_query_tree(&tree))
+            });
+            match &base {
+                None => base = Some((fp, stats, snap)),
+                Some((base_fp, base_stats, base_snap)) => {
+                    prop_assert_eq!(&fp, base_fp, "knn differs at {} threads", threads);
+                    prop_assert_eq!(&stats, base_stats, "stats differ at {} threads", threads);
+                    prop_assert_eq!(&snap, base_snap, "snapshot differs at {} threads", threads);
+                }
+            }
+        }
     }
 }

@@ -10,10 +10,9 @@ use proptest::prelude::*;
 use sepdc::core::serve::{CoverPredicate, ServeConfig};
 use sepdc::core::snapshot::{self, HEADER_LEN, TABLE_ENTRY_LEN};
 use sepdc::core::{
-    kdtree_all_knn, load_partition_tree, load_query_tree, load_sharded_index, parallel_knn,
-    save_partition_tree, save_query_tree, save_sharded_index, KnnDcConfig, NeighborhoodSystem,
-    QueryTree, QueryTreeConfig, SepdcError, ShardedConfig, ShardedIndex, SnapshotError,
-    SNAPSHOT_VERSION,
+    kdtree_all_knn, load_query_tree, load_sharded_index, save_query_tree, save_sharded_index,
+    NeighborhoodSystem, QueryTree, QueryTreeConfig, SepdcError, ShardedConfig, ShardedIndex,
+    SnapshotError, SNAPSHOT_VERSION,
 };
 use sepdc::workloads::Workload;
 
@@ -34,7 +33,7 @@ fn try_all_loads(bytes: &[u8]) -> Vec<Result<(), SepdcError>> {
     vec![
         snapshot::inspect(bytes).map(drop),
         load_query_tree::<2>(bytes).map(drop),
-        load_partition_tree::<2>(bytes).map(drop),
+        load_sharded_index::<2>(bytes).map(drop),
         // Wrong dimension on purpose: dimension checks must also be typed.
         load_query_tree::<3>(bytes).map(drop),
     ]
@@ -98,6 +97,20 @@ fn version_drift_is_typed() {
                 found: next,
                 expected: SNAPSHOT_VERSION,
             }))
+        );
+    }
+}
+
+#[test]
+fn retired_partition_tree_kind_is_bad_kind() {
+    // Kind code 2 once held a §6 partition tree; nothing writes it any
+    // more, so a container claiming it is an unknown kind on every path.
+    let mut bytes = fixture_bytes();
+    bytes[12..16].copy_from_slice(&2u32.to_le_bytes());
+    for r in try_all_loads(&bytes) {
+        assert_eq!(
+            r,
+            Err(SepdcError::Snapshot(SnapshotError::BadKind { found: 2 }))
         );
     }
 }
@@ -244,6 +257,45 @@ fn resealed_nonzero_meta_word_17_is_corrupt() {
 }
 
 #[test]
+fn meta_word_15_accepts_retired_backend_codes() {
+    // Word 15 once named the split backend (0 random, 1 halving, 2 graph).
+    // Trees built by any of them are valid and serve exact answers, so
+    // every retired code loads and serves identically; 3 never existed.
+    let clean = fixture_bytes();
+    let (_, meta) = find_section(&clean, b"META");
+    let word = meta.start + 14 * 8..meta.start + 15 * 8;
+    assert_eq!(clean[word.clone()], 0u64.to_le_bytes(), "written as 0");
+    let probes = Workload::UniformCube.generate::<2>(500, 12);
+    let cfg = ServeConfig::default();
+    let want = load_query_tree::<2>(&clean)
+        .unwrap()
+        .try_serve(&probes, CoverPredicate::Closed, &cfg)
+        .unwrap();
+    let patched = |v: u64| {
+        let mut bytes = clean.clone();
+        bytes[word.clone()].copy_from_slice(&v.to_le_bytes());
+        reseal(&mut bytes, b"META");
+        bytes
+    };
+    for code in 0..=2u64 {
+        let got = load_query_tree::<2>(&patched(code))
+            .unwrap()
+            .try_serve(&probes, CoverPredicate::Closed, &cfg)
+            .unwrap();
+        assert_eq!(got.result.offsets(), want.result.offsets(), "code {code}");
+        assert_eq!(got.result.ids(), want.result.ids(), "code {code}");
+    }
+    let err = load_query_tree::<2>(&patched(3)).map(drop).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            SepdcError::Snapshot(SnapshotError::Corrupt { tag: "META", .. })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
 fn random_garbage_never_panics() {
     use rand::{RngCore, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC0FFEE);
@@ -294,23 +346,4 @@ proptest! {
         }
     }
 
-    /// Partition trees round-trip exactly too: same arena, same
-    /// permutation, same leaf assignment for every point.
-    #[test]
-    fn partition_tree_round_trips(
-        n in 20usize..300,
-        k in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let pts = Workload::Clusters.generate::<2>(n, seed);
-        let out = parallel_knn::<2, 3>(&pts, &KnnDcConfig::new(k).with_seed(seed));
-        let bytes = save_partition_tree(&out.tree);
-        let loaded = load_partition_tree::<2>(&bytes).unwrap();
-        prop_assert_eq!(&save_partition_tree(&loaded), &bytes);
-        prop_assert_eq!(loaded.perm(), out.tree.perm());
-        prop_assert_eq!(loaded.nodes().len(), out.tree.nodes().len());
-        prop_assert_eq!(loaded.size(), out.tree.size());
-        prop_assert_eq!(loaded.height(), out.tree.height());
-        prop_assert_eq!(loaded.leaves(), out.tree.leaves());
-    }
 }
